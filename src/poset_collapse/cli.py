@@ -82,7 +82,8 @@ def _resolve_subset(P, phi, spec: str):
     if spec == "image":
         return phi.image()
     data = ser.load_json(spec)
-    return frozenset(ser._need(data, "elements", list, str(spec)))
+    elements = ser._need(data, "elements", list, str(spec))
+    return frozenset(ser._labels(elements, f"{spec}: elements"))
 
 
 def cmd_classify_map(args):

@@ -1,7 +1,11 @@
 """Elementary collapses and the compiler from NE-certificates to collapse sequences.
 
 A free face is a face with exactly one proper coface; removing the open pair
-is an elementary collapse.  The constructive content of "NE-reduction implies
+is an elementary collapse.  Replay, search and the one-shot helpers all step
+a FaceStore, which keeps every face with its number of codimension-one
+cofaces, so a step touches O(dim) faces and never rebuilds the complex.
+
+The constructive content of "NE-reduction implies
 collapse": a nonevasive link witness for a vertex v compiles into a collapse
 of the closed star of v, where every elementary step (tau, sigma) of the link
 collapse lifts to (tau+{v}, sigma+{v}) and the terminal pair is ({v}, {v,p})
@@ -26,7 +30,6 @@ from .evasiveness import (
     NECertificate,
     PointWitness,
     SearchBudget,
-    SplitWitness,
     Witness,
     _BudgetHit,
     _Counter,
@@ -61,49 +64,112 @@ def _face_key(f: frozenset) -> tuple:
     return tuple(sorted(f))
 
 
-def _containing_facets(X: SimplicialComplex, tau: frozenset) -> list[frozenset]:
-    return [F for F in X.facets if tau < F]
+class FaceStore:
+    """Mutable face set of a complex, each face mapped to its number of
+    codimension-one cofaces (the Hasse diagram of the face poset, by counts).
 
+    A face tau is free iff its count is 1: any larger coface would contain two
+    codimension-one cofaces of tau.  Its one coface sigma then has count 0.
+    The facets are the faces of count 0 and are kept as a set.  Checking and
+    removing a pair cost O(dim) set operations, not a rebuild of the complex.
+    """
 
-def _is_free(X: SimplicialComplex, tau: frozenset, sigma: frozenset) -> bool:
-    if not X.has_face(tau):
-        return False
-    over = _containing_facets(X, tau)
-    return len(over) == 1 and over[0] == sigma and len(sigma) == len(tau) + 1
+    __slots__ = ("up", "facets")
+
+    def __init__(self, faces):
+        """`faces` must be closed under taking nonempty subsets."""
+        up = dict.fromkeys(faces, 0)
+        for f in up:
+            if len(f) > 1:
+                for v in f:
+                    up[f - {v}] += 1
+        self.up = up
+        self.facets = {f for f, c in up.items() if not c}
+
+    def is_free(self, tau: frozenset, sigma: frozenset) -> bool:
+        up = self.up
+        return (
+            up.get(tau) == 1
+            and up.get(sigma) == 0
+            and len(sigma) == len(tau) + 1
+            and tau < sigma
+        )
+
+    def free_pairs(self) -> list[Step]:
+        """All free pairs, in lexicographic order of the free face."""
+        up = self.up
+        out = []
+        for sigma in self.facets:
+            for v in sigma:
+                tau = sigma - {v}
+                if up.get(tau) == 1:
+                    out.append((tau, sigma))
+        out.sort(key=lambda p: _face_key(p[0]))
+        return out
+
+    def _boundary(self, tau: frozenset, sigma: frozenset):
+        # the faces whose coface count a collapse of (tau, sigma) changes
+        for v in sigma:
+            f = sigma - {v}
+            if f != tau:
+                yield f
+        if len(tau) > 1:
+            for v in tau:
+                yield tau - {v}
+
+    def remove(self, tau: frozenset, sigma: frozenset) -> None:
+        """Collapse the free pair (tau, sigma); the caller checks freeness."""
+        up, facets = self.up, self.facets
+        del up[tau], up[sigma]
+        facets.remove(sigma)
+        for f in self._boundary(tau, sigma):
+            c = up[f] - 1
+            up[f] = c
+            if not c:
+                facets.add(f)
+
+    def restore(self, tau: frozenset, sigma: frozenset) -> None:
+        """Undo remove(tau, sigma)."""
+        up, facets = self.up, self.facets
+        for f in self._boundary(tau, sigma):
+            c = up[f]
+            if not c:
+                facets.remove(f)
+            up[f] = c + 1
+        up[tau] = 1
+        up[sigma] = 0
+        facets.add(sigma)
 
 
 def free_pairs(X: SimplicialComplex) -> list[Step]:
     """All (tau, sigma) with sigma the unique face properly containing tau,
     in lexicographic order."""
-    out = []
-    for tau in X.faces():
-        over = _containing_facets(X, tau)
-        if len(over) == 1 and len(over[0]) == len(tau) + 1:
-            out.append((tau, over[0]))
-    out.sort(key=lambda p: (_face_key(p[0]), _face_key(p[1])))
-    return out
+    return FaceStore(X.faces()).free_pairs()
 
 
 def apply_collapse(X: SimplicialComplex, tau: frozenset, sigma: frozenset) -> SimplicialComplex:
-    """Remove the open faces tau and sigma; recomputes the facet set."""
+    """Remove the open faces tau and sigma; the complex spanned by the rest."""
     tau, sigma = frozenset(tau), frozenset(sigma)
-    if not _is_free(X, tau, sigma):
+    store = FaceStore(X.faces())
+    if not store.is_free(tau, sigma):
         raise ComplexError(f"({sorted(tau)}, {sorted(sigma)}) is not a free pair")
-    candidates = [F for F in X.facets if F != sigma]
-    candidates += [sigma - {u} for u in sigma if sigma - {u} != tau]
-    return SimplicialComplex(candidates)
+    store.remove(tau, sigma)
+    return SimplicialComplex(store.facets)
 
 
 def verify_collapse(X, Y, seq) -> bool:
-    """Replay semantics: every step must be free and the end state must equal Y."""
+    """Replay semantics: every step must be free and the end state must equal Y.
+
+    The replay runs on one FaceStore of X, independent of how seq was built."""
     if not isinstance(seq, CollapseSequence) or not isinstance(X, SimplicialComplex):
         return False
-    cur = X
+    store = FaceStore(X.faces())
     for tau, sigma in seq:
-        if not _is_free(cur, tau, sigma):
+        tau, sigma = frozenset(tau), frozenset(sigma)
+        if not store.is_free(tau, sigma):
             return False
-        cur = apply_collapse(cur, tau, sigma)
-    return cur == Y
+        store.remove(tau, sigma)
+    return isinstance(Y, SimplicialComplex) and store.up.keys() == Y.faces()
 
 
 def _witness_point_collapse(L: SimplicialComplex, w: Witness) -> tuple[list[Step], str]:
@@ -150,7 +216,11 @@ def certificate_to_collapse(X: SimplicialComplex, cert: NECertificate) -> Collap
 
 def search_collapse(X: SimplicialComplex, Y, budget: SearchBudget = DEFAULT_BUDGET):
     """DFS over free pairs (lexicographic order, memoized dead states) for a
-    collapse from X to Y; Y=None means "down to any single point"."""
+    collapse from X to Y; Y=None means "down to any single point".
+
+    The search steps one FaceStore with remove/restore and keeps its open
+    nodes on an explicit stack, so its depth is not limited by the
+    interpreter's recursion limit.  Dead states are keyed on the facet set."""
     if Y is not None:
         for f in Y.facets:
             if not X.has_face(f):
@@ -162,34 +232,40 @@ def search_collapse(X: SimplicialComplex, Y, budget: SearchBudget = DEFAULT_BUDG
         return BUDGET_EXCEEDED
     counter = _Counter(budget.max_nodes)
     dead: set = set()
-
-    def done(cur: SimplicialComplex) -> bool:
-        if Y is None:
-            return len(cur.vertices) == 1
-        return cur == Y
-
-    def dfs(cur: SimplicialComplex):
-        if done(cur):
-            return []
-        if cur.facets in dead:
-            return None
-        counter.spend()
-        if Y is not None and not target_faces <= cur.faces():
-            dead.add(cur.facets)
-            return None
-        for tau, sigma in free_pairs(cur):
-            if Y is not None and (tau in target_faces or sigma in target_faces):
-                continue
-            rest = dfs(apply_collapse(cur, tau, sigma))
-            if rest is not None:
-                return [(tau, sigma)] + rest
-        dead.add(cur.facets)
-        return None
-
+    store = FaceStore(X.faces())
+    # target faces are never removed, so the target is reached exactly when
+    # the face counts agree; a single remaining face is a single point
+    goal = 1 if Y is None else len(target_faces)
+    path: list[Step] = []  # the steps from X to the current state
+    frames: list = []  # per open node: its facet set and its untried pairs
+    arrived = True
     try:
-        found = dfs(X)
+        while True:
+            if arrived:
+                if len(store.up) == goal:
+                    return CollapseSequence(tuple(path))
+                key = frozenset(store.facets)
+                if key in dead:
+                    store.restore(*path.pop())
+                else:
+                    counter.spend()
+                    pairs = store.free_pairs()
+                    if Y is not None:
+                        # sigma contains tau, so it is outside the target too
+                        pairs = [p for p in pairs if p[0] not in target_faces]
+                    frames.append((key, iter(pairs)))
+            key, pairs = frames[-1]
+            step = next(pairs, None)
+            if step is None:
+                dead.add(key)
+                frames.pop()
+                if not frames:
+                    return NOT_FOUND
+                store.restore(*path.pop())
+                arrived = False
+            else:
+                store.remove(*step)
+                path.append(step)
+                arrived = True
     except _BudgetHit:
         return BUDGET_EXCEEDED
-    if found is None:
-        return NOT_FOUND
-    return CollapseSequence(tuple(found))

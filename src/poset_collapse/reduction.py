@@ -126,7 +126,8 @@ def theorem_reduce(
     gamma = phi.power(len(P) - len(Qset))
     if not gamma.image() <= Qset:
         gamma = stabilize(phi)
-    assert gamma.image() <= Qset
+        if not gamma.image() <= Qset:
+            raise PosetError("the stabilized map leaves Q: its image is not Fix(phi)")
 
     cur = P
     table = gamma.table

@@ -9,6 +9,9 @@ Formats (exact field names):
   collapse     {"steps": [{"free": [...], "coface": [...]}, ...]}
   homology     {"betti": [...], "reduced_euler": n}
   crapo        {"lhs": n, "rhs": m, "equal": bool, "case": ...}
+
+Every element and vertex label is a JSON string; loaders reject anything
+else with InputError.
 """
 
 from __future__ import annotations
@@ -60,6 +63,14 @@ def _need(data, field, kind, where):
     return value
 
 
+def _labels(values, where):
+    # vertex and element labels are strings; anything else is malformed input
+    for j, v in enumerate(values):
+        if not isinstance(v, str):
+            raise InputError(f"{where}[{j}]: labels must be strings, got {type(v).__name__}")
+    return values
+
+
 # -- posets and maps -----------------------------------------------------------
 
 
@@ -71,13 +82,13 @@ def poset_to_data(P: Poset) -> dict:
 
 
 def poset_from_data(data, where: str = "poset") -> Poset:
-    elements = _need(data, "elements", list, where)
+    elements = _labels(_need(data, "elements", list, where), f"{where}: elements")
     covers = _need(data, "covers", list, where)
     pairs = []
     for i, pair in enumerate(covers):
         if not isinstance(pair, list) or len(pair) != 2:
             raise InputError(f"{where}: covers[{i}] must be a two-element list")
-        pairs.append((pair[0], pair[1]))
+        pairs.append(tuple(_labels(pair, f"{where}: covers[{i}]")))
     return Poset(elements, pairs)
 
 
@@ -87,6 +98,9 @@ def map_to_data(phi: PosetMap) -> dict:
 
 def map_from_data(data, P: Poset, where: str = "map") -> PosetMap:
     table = _need(data, "map", dict, where)
+    for k, v in table.items():
+        if not isinstance(v, str):
+            raise InputError(f"{where}: map[{k!r}] must be a string label, got {type(v).__name__}")
     return PosetMap(P, table)
 
 
@@ -102,6 +116,7 @@ def complex_from_data(data, where: str = "complex") -> SimplicialComplex:
     for i, f in enumerate(facets):
         if not isinstance(f, list) or not f:
             raise InputError(f"{where}: facets[{i}] must be a nonempty list")
+        _labels(f, f"{where}: facets[{i}]")
     return SimplicialComplex(facets)
 
 
@@ -128,7 +143,7 @@ def witness_from_data(data, where: str = "witness"):
     if not isinstance(data, dict):
         raise InputError(f"{where}: expected an object")
     if "point" in data:
-        return PointWitness(data["point"])
+        return PointWitness(_need(data, "point", str, where))
     if "split" in data:
         node = data["split"]
         v = _need(node, "v", str, where)
@@ -148,7 +163,7 @@ def certificate_to_data(cert: NECertificate) -> dict:
 
 
 def certificate_from_data(data, where: str = "certificate") -> NECertificate:
-    removed = _need(data, "removed", list, where)
+    removed = _labels(_need(data, "removed", list, where), f"{where}: removed")
     wits = _need(data, "witnesses", list, where)
     if len(removed) != len(wits):
         raise InputError(f"{where}: 'removed' and 'witnesses' lengths differ")
@@ -170,8 +185,9 @@ def collapse_from_data(data, where: str = "collapse") -> CollapseSequence:
     steps = _need(data, "steps", list, where)
     out = []
     for i, step in enumerate(steps):
-        tau = _need(step, "free", list, f"{where}.steps[{i}]")
-        sigma = _need(step, "coface", list, f"{where}.steps[{i}]")
+        at = f"{where}.steps[{i}]"
+        tau = _labels(_need(step, "free", list, at), f"{at}: free")
+        sigma = _labels(_need(step, "coface", list, at), f"{at}: coface")
         out.append((frozenset(tau), frozenset(sigma)))
     try:
         return CollapseSequence(tuple(out))

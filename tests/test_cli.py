@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from poset_collapse import SimplicialComplex, verify_collapse
+from poset_collapse import serialization as ser
 from poset_collapse.cli import main
 
 B2 = {"elements": ["0", "1", "2", "12"], "covers": [["0", "1"], ["0", "2"], ["1", "12"], ["2", "12"]]}
@@ -146,6 +148,23 @@ class TestComplexCommands:
         code, out, _ = run(["collapse-search", "--complex", cx, "--to-point"], capsys)
         assert code == 1
 
+    def test_collapse_search_deep_simplex(self, files, capsys):
+        # 1,023 steps deep: within the default 16-vertex budget, far past the
+        # interpreter's recursion limit
+        tmp, write = files
+        facets = [[f"v{i:02d}" for i in range(11)]]
+        cx = write("simplex11.json", {"facets": facets})
+        code, out, err = run(["collapse-search", "--complex", cx, "--to-point"], capsys)
+        assert code == 0, err
+        data = json.loads(out)
+        assert data["status"] == "found"
+        seq = ser.collapse_from_data(data["sequence"])
+        assert len(seq) == 1023
+        X = SimplicialComplex(facets)
+        removed = {v for tau, _ in seq if len(tau) == 1 for v in tau}
+        (last,) = set(X.vertices) - removed
+        assert verify_collapse(X, SimplicialComplex.point(last), seq)
+
     def test_budget_exit_code(self, files, capsys):
         tmp, write = files
         cx = write("big.json", {"facets": [[f"v{i}" for i in range(20)]]})
@@ -252,6 +271,32 @@ class TestHygiene:
         code, _, err = run(["order-complex", "--poset", str(bad)], capsys)
         assert code == 2
         assert "line 1" in err
+
+    @pytest.mark.parametrize(
+        "argv_flag, data",
+        [
+            ("--complex", {"facets": [["a", ["b"]]]}),
+            ("--complex", {"facets": [["a", 1]]}),
+            ("--poset", {"elements": [1, "a"], "covers": []}),
+            ("--poset", {"elements": ["a", "b"], "covers": [["a", ["b"]]]}),
+        ],
+    )
+    def test_non_string_labels_are_exit_2(self, files, capsys, argv_flag, data):
+        tmp, write = files
+        path = write("bad.json", data)
+        command = "nonevasive" if argv_flag == "--complex" else "order-complex"
+        code, out, err = run([command, argv_flag, path], capsys)
+        assert code == 2
+        assert "labels must be strings" in err
+        assert "Traceback" not in err and out == ""
+
+    def test_non_string_map_value_is_exit_2(self, files, capsys):
+        tmp, write = files
+        poset = write("b2.json", B2)
+        mapf = write("bad-map.json", {"map": {"0": ["2"], "1": "12", "2": "2", "12": "12"}})
+        code, _, err = run(["classify-map", "--poset", poset, "--map", mapf], capsys)
+        assert code == 2
+        assert "must be a string label" in err
 
     def test_env_budget_override(self, files, capsys, monkeypatch):
         tmp, write = files

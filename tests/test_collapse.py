@@ -1,11 +1,15 @@
 """Elementary collapses, sequence search, and witness compilation."""
 
+from itertools import combinations
+
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from poset_collapse import (
     BUDGET_EXCEEDED,
     EVASIVE,
+    VOID,
     NOT_FOUND,
     CollapseSequence,
     ComplexError,
@@ -17,6 +21,7 @@ from poset_collapse import (
     apply_collapse,
     certificate_to_collapse,
     free_pairs,
+    induced_subcomplex,
     is_nonevasive,
     link,
     order_complex,
@@ -28,6 +33,7 @@ from poset_collapse import (
     witness_to_vertex_collapse,
     z2_betti,
 )
+from poset_collapse.collapse import FaceStore
 
 from conftest import betti_equal, complexes
 
@@ -222,3 +228,189 @@ class TestSearchCollapse:
     def test_nonevasive_implies_collapsible(self, X):
         if is_nonevasive(X) is not EVASIVE:
             assert isinstance(search_collapse(X, None), CollapseSequence)
+
+
+# -- the face store against rebuild-based references -------------------------------
+#
+# The references below step a complex the way the library did before it had a
+# face store: every free check scans the facets and every step rebuilds the
+# complex.  They live here only, as oracles for FaceStore-based replay and search.
+
+
+def rebuild_is_free(X, tau, sigma) -> bool:
+    if not X.has_face(tau):
+        return False
+    over = [F for F in X.facets if tau < F]
+    return len(over) == 1 and over[0] == sigma and len(sigma) == len(tau) + 1
+
+
+def rebuild_apply(X, tau, sigma):
+    candidates = [F for F in X.facets if F != sigma]
+    candidates += [sigma - {u} for u in sigma if sigma - {u} != tau]
+    return SimplicialComplex(candidates)
+
+
+def rebuild_verify(X, Y, steps) -> bool:
+    cur = X
+    for tau, sigma in steps:
+        if not rebuild_is_free(cur, tau, sigma):
+            return False
+        cur = rebuild_apply(cur, tau, sigma)
+    return cur == Y
+
+
+def rebuild_free_pairs(X):
+    out = []
+    for tau in X.faces():
+        over = [F for F in X.facets if tau < F]
+        if len(over) == 1 and len(over[0]) == len(tau) + 1:
+            out.append((tau, over[0]))
+    out.sort(key=lambda p: (sorted(p[0]), sorted(p[1])))
+    return out
+
+
+def rebuild_search(X, Y, budget):
+    """The recursive rebuild DFS: same pair order, dead states and budget."""
+    if Y is not None:
+        target = Y.faces()
+        if (X.n_faces() - len(target)) % 2 != 0:
+            return NOT_FOUND
+    if len(X.vertices) > budget.max_vertices:
+        return BUDGET_EXCEEDED
+    left = [budget.max_nodes]
+    dead = set()
+
+    class Hit(Exception):
+        pass
+
+    def dfs(cur):
+        if (len(cur.vertices) == 1) if Y is None else (cur == Y):
+            return []
+        if cur.facets in dead:
+            return None
+        left[0] -= 1
+        if left[0] < 0:
+            raise Hit
+        for tau, sigma in rebuild_free_pairs(cur):
+            if Y is not None and (tau in target or sigma in target):
+                continue
+            rest = dfs(rebuild_apply(cur, tau, sigma))
+            if rest is not None:
+                return [(tau, sigma)] + rest
+        dead.add(cur.facets)
+        return None
+
+    try:
+        found = dfs(X)
+    except Hit:
+        return BUDGET_EXCEEDED
+    return NOT_FOUND if found is None else found
+
+
+def unchecked_sequence(steps) -> CollapseSequence:
+    """A CollapseSequence that skips construction checks, as a forged input would."""
+    seq = object.__new__(CollapseSequence)
+    object.__setattr__(seq, "steps", tuple(steps))
+    return seq
+
+
+POOL = [frozenset(c) for k in range(1, 7) for c in combinations("abcdef", k)]
+
+
+@st.composite
+def replay_scripts(draw):
+    """A complex on at most 5 vertices and a step sequence mixing valid steps
+    with non-free pairs, absent faces, empty free faces and wrong sizes."""
+    X = draw(complexes(max_vertices=5))
+    cur, steps, valid = X, [], []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["valid", "valid", "valid", "nonfree", "absent", "empty", "size"]))
+        faces = cur.faces()
+        if kind == "valid":
+            pairs = rebuild_free_pairs(cur)
+            if not pairs:
+                continue
+            tau, sigma = draw(st.sampled_from(pairs))
+            cur = rebuild_apply(cur, tau, sigma)
+            valid.append(True)
+        else:
+            if kind == "nonfree":
+                options = [
+                    (t, s) for s in faces for t in (s - {v} for v in s)
+                    if t and not rebuild_is_free(cur, t, s)
+                ]
+            elif kind == "absent":
+                options = [
+                    (t, t | {v}) for t in POOL for v in "abcdef"
+                    if v not in t and not (t in faces and t | {v} in faces)
+                ]
+            elif kind == "empty":
+                options = [(frozenset(), frozenset(v)) for v in "abcdef"]
+            else:
+                options = [(t, s) for s in faces for t in faces if t < s and len(s) != len(t) + 1]
+                options += [(s, t) for t, s in options]
+            if not options:
+                continue
+            tau, sigma = draw(st.sampled_from(options))
+            valid.append(False)
+        steps.append((tau, sigma))
+    return X, steps, valid, cur
+
+
+class TestFaceStore:
+    def test_counts_and_facets_of_a_triangle(self):
+        store = FaceStore(SimplicialComplex.simplex("abc").faces())
+        assert store.up[frozenset("a")] == 2
+        assert store.up[frozenset("ab")] == 1
+        assert store.facets == {frozenset("abc")}
+
+    def test_remove_then_restore_is_identity(self):
+        X = annulus()
+        store = FaceStore(X.faces())
+        before = dict(store.up), set(store.facets)
+        for tau, sigma in store.free_pairs():
+            store.remove(tau, sigma)
+            store.restore(tau, sigma)
+            assert (dict(store.up), store.facets) == before
+
+    @given(replay_scripts())
+    @settings(max_examples=300, deadline=None)
+    def test_store_replay_matches_rebuild_replay(self, script):
+        X, steps, valid, end = script
+        store, cur = FaceStore(X.faces()), X
+        for (tau, sigma), ok in zip(steps, valid):
+            assert store.is_free(tau, sigma) == rebuild_is_free(cur, tau, sigma) == ok
+            if ok:
+                store.remove(tau, sigma)
+                cur = rebuild_apply(cur, tau, sigma)
+                assert store.facets == set(cur.facets)
+                assert store.up.keys() == cur.faces()
+        seq = unchecked_sequence(steps)
+        for Y in (end, X, SimplicialComplex.point("a")):
+            assert verify_collapse(X, Y, seq) == rebuild_verify(X, Y, steps)
+        assert verify_collapse(X, end, seq) == all(valid)
+
+    @given(complexes(max_vertices=5))
+    @settings(max_examples=100, deadline=None)
+    def test_free_pairs_match_rebuild(self, X):
+        assert free_pairs(X) == rebuild_free_pairs(X)
+
+
+def as_lists(result):
+    if result is NOT_FOUND or result is BUDGET_EXCEEDED:
+        return result
+    return [(sorted(t), sorted(s)) for t, s in result]
+
+
+class TestSearchMatchesRebuild:
+    @given(complexes(max_vertices=5), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_same_result_for_every_small_budget(self, X, data):
+        k = data.draw(st.integers(1, len(X.vertices)))
+        targets = [None, induced_subcomplex(X, X.vertices[:k])]
+        for Y in targets:
+            if Y is VOID:
+                continue
+            for nodes in (1, 2, 3, 5, 8, 13, 1_000_000):
+                budget = SearchBudget(max_nodes=nodes)
+                assert as_lists(search_collapse(X, Y, budget)) == as_lists(rebuild_search(X, Y, budget))

@@ -151,6 +151,16 @@ class TestTheoremReduce:
         X, Y = order_complex(P), order_complex(P.induced(Q))
         assert verify_ne_certificate(X, Y, report.certificate)
 
+    def test_stabilization_outside_q_is_an_error_not_an_assert(self, monkeypatch):
+        # a stabilization whose image misses Q must fail loudly, also under -O
+        import poset_collapse.reduction as reduction
+
+        P = Poset("abc", [("a", "b"), ("b", "c")])
+        phi = PosetMap(P, {"a": "b", "b": "c", "c": "c"})
+        monkeypatch.setattr(reduction, "stabilize", lambda f: f)
+        with pytest.raises(PosetError, match="leaves Q"):
+            theorem_reduce(P, phi, {"a", "c"})
+
     def test_paper_exponent_suffices_for_fix_and_image(self):
         # for the two canonical subsets the paper's N = |P - Q| never undershoots
         for n in range(1, 5):
