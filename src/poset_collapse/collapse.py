@@ -9,7 +9,12 @@ The constructive content of "NE-reduction implies
 collapse": a nonevasive link witness for a vertex v compiles into a collapse
 of the closed star of v, where every elementary step (tau, sigma) of the link
 collapse lifts to (tau+{v}, sigma+{v}) and the terminal pair is ({v}, {v,p})
-for the witness's leaf point p.
+for the witness's leaf point p.  The compiler runs on the int facet masks
+of `complexes._masks`, emits each step as a pair of masks with every
+enclosing star's vertex already added, and translates the steps to labels
+once at the end.  It checks each witness node as verify_witness does while
+it compiles it, so a certificate is walked once and a bad witness raises
+ComplexError.
 """
 
 from __future__ import annotations
@@ -17,11 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import (
-    VOID,
     ComplexError,
     SimplicialComplex,
-    delete_vertex,
-    link,
+    _delete_m,
+    _face,
+    _link_m,
+    _masks,
+    _support,
 )
 from .evasiveness import (
     BUDGET_EXCEEDED,
@@ -30,10 +37,10 @@ from .evasiveness import (
     NECertificate,
     PointWitness,
     SearchBudget,
+    SplitWitness,
     Witness,
     _BudgetHit,
     _Counter,
-    verify_witness,
 )
 
 Step = tuple[frozenset, frozenset]
@@ -172,46 +179,70 @@ def verify_collapse(X, Y, seq) -> bool:
     return isinstance(Y, SimplicialComplex) and store.up.keys() == Y.faces()
 
 
-def _witness_point_collapse(L: SimplicialComplex, w: Witness) -> tuple[list[Step], str]:
-    # collapse L all the way to a single point, following the witness recursion
-    if isinstance(w, PointWitness):
-        return [], w.vertex
-    star_steps = _vertex_steps(L, w.vertex, w.link)
-    rest, p = _witness_point_collapse(delete_vertex(L, w.vertex), w.deletion)
-    return star_steps + rest, p
+def _star_collapse(F: frozenset, bit: int, w, lift: int, bits: dict, out: list) -> bool:
+    # append the collapse of the closed star of the vertex `bit` onto its
+    # deletion, every face lifted by `lift`; False when w is no witness for
+    # its link.  An unknown or absent vertex, or the only one, has a void link.
+    lk = _link_m(F, bit)
+    if not lk:
+        return False
+    star = lift | bit
+    p = _point_collapse(lk, w, star, bits, out)
+    if not p:
+        return False
+    out.append((star, star | p))
+    return True
 
 
-def _vertex_steps(X: SimplicialComplex, v: str, link_witness: Witness) -> list[Step]:
-    lk = link(X, v)
-    lk_steps, p = _witness_point_collapse(lk, link_witness)
-    lifted: list[Step] = [(tau | {v}, sigma | {v}) for tau, sigma in lk_steps]
-    lifted.append((frozenset({v}), frozenset({v, p})))
-    return lifted
+def _point_collapse(F: frozenset, w, lift: int, bits: dict, out: list) -> int:
+    # append the collapse of F to a point along the witness recursion, every
+    # face lifted by `lift`; the point's bit, or 0 when w is no witness for F.
+    # Each node is checked as verify_witness checks it.
+    while isinstance(w, SplitWitness):
+        bit = bits.get(w.vertex, 0)
+        if not _star_collapse(F, bit, w.link, lift, bits, out):
+            return 0
+        F = _delete_m(F, bit)
+        w = w.deletion
+    if isinstance(w, PointWitness) and F == {bits.get(w.vertex)}:
+        return bits[w.vertex]
+    return 0
+
+
+def _label_steps(out: list, labels: tuple[str, ...]) -> CollapseSequence:
+    # in place, so each mask pair is freed as its labelled pair is built
+    for i, (t, s) in enumerate(out):
+        tau = _face(t, labels)
+        out[i] = (tau, tau | {labels[(s ^ t).bit_length() - 1]})
+    return CollapseSequence(tuple(out))
 
 
 def witness_to_vertex_collapse(X: SimplicialComplex, v: str, w: Witness) -> CollapseSequence:
     """Collapse sequence realizing X down to X minus v, from a witness for lk_X v."""
     if v not in X.vertices:
         raise ComplexError(f"unknown vertex {v!r}")
-    lk = link(X, v)
-    if lk is VOID or not verify_witness(lk, w):
+    bits, F = _masks(X)
+    out: list = []
+    if not _star_collapse(F, bits[v], w, 0, bits, out):
         raise ComplexError("witness does not verify for the vertex link")
-    return CollapseSequence(tuple(_vertex_steps(X, v, w)))
+    return _label_steps(out, X.vertices)
 
 
 def certificate_to_collapse(X: SimplicialComplex, cert: NECertificate) -> CollapseSequence:
-    """Concatenate the per-vertex star collapses along the certificate's order."""
-    steps: list[Step] = []
-    cur = X
+    """Concatenate the per-vertex star collapses along the certificate's order.
+
+    Each witness is checked node by node while it is compiled, as
+    verify_witness would check it, so it is walked once."""
+    bits, F = _masks(X)
+    out: list = []
     for x, w in cert.steps():
-        if x not in cur.vertices:
+        bit = bits.get(x, 0)
+        if not _support(F) & bit:
             raise ComplexError(f"certificate removes unknown vertex {x!r}")
-        lk = link(cur, x)
-        if lk is VOID or not verify_witness(lk, w):
+        if not _star_collapse(F, bit, w, 0, bits, out):
             raise ComplexError(f"certificate witness for {x!r} does not verify")
-        steps.extend(_vertex_steps(cur, x, w))
-        cur = delete_vertex(cur, x)
-    return CollapseSequence(tuple(steps))
+        F = _delete_m(F, bit)
+    return _label_steps(out, X.vertices)
 
 
 def search_collapse(X: SimplicialComplex, Y, budget: SearchBudget = DEFAULT_BUDGET):

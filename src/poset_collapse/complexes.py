@@ -9,7 +9,9 @@ cached per instance.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from typing import Iterable
 
 from .poset import Poset
@@ -151,6 +153,54 @@ def induced_subcomplex(X: SimplicialComplex, labels: Iterable[str]) -> Simplicia
     if not candidates:
         return VOID
     return SimplicialComplex(candidates)
+
+
+# -- facet masks -----------------------------------------------------------------
+#
+# The witness recursions run on complexes stored as a frozenset of int facet
+# masks over one vertex index: bit i is the i-th of the sorted vertices of the
+# complex an operation starts from.  Every link and deletion keeps that index,
+# so equal mask sets are equal labelled facet sets, and labels are translated
+# back only where a result leaves the recursion.  The empty frozenset is the
+# void complex.
+
+
+def _masks(X: SimplicialComplex) -> tuple[dict[str, int], frozenset[int]]:
+    """The bit of each vertex of X, and X's facets as masks over them."""
+    bits = {v: 1 << i for i, v in enumerate(X.vertices)}
+    return bits, frozenset(sum(bits[v] for v in f) for f in X.facets)
+
+
+def _support(F: frozenset[int]) -> int:
+    """The mask of all vertices of F."""
+    return reduce(or_, F, 0)
+
+
+def _link_m(F: frozenset[int], bit: int) -> frozenset[int]:
+    # the link of an antichain of facets is an antichain, so it needs no
+    # maximalization; {v} is a facet only when v is isolated (void link)
+    return frozenset(f ^ bit for f in F if f & bit and f != bit)
+
+
+def _delete_m(F: frozenset[int], bit: int) -> frozenset[int]:
+    # facets without v stay maximal; a facet cut by v can only fall inside
+    # one of those, since two cut facets nest only if the uncut ones did
+    keep = [f for f in F if not f & bit]
+    cut = [f ^ bit for f in F if f & bit]
+    return frozenset(keep + [r for r in cut if r and not any(r & g == r for g in keep)])
+
+
+def _face(mask: int, labels: tuple[str, ...]) -> frozenset[str]:
+    """The labelled face of a mask over `labels`.
+
+    Built by union, one label at a time: a frozenset built from a list of
+    five or more labels allocates a hash table half as large again."""
+    out = frozenset()
+    while mask:
+        low = mask & -mask
+        out = out | {labels[low.bit_length() - 1]}
+        mask ^= low
+    return out
 
 
 def join(X: SimplicialComplex, Y: SimplicialComplex) -> SimplicialComplex:

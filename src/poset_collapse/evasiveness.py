@@ -8,6 +8,12 @@ per step.  All verification is by replay: links and deletions are recomputed
 from scratch, so a verified object is trustworthy independently of how it was
 found.
 
+Deciding, searching, witness replay and certificate replay all run on int
+facet masks over the vertex index of the complex they start from
+(`complexes._masks`), not on `SimplicialComplex` objects: a link or deletion
+is a set comprehension over a few ints, and labels are looked up only for
+witness vertices and the final complex of a replay.
+
 Everything here is immutable and the operations are pure functions; searches
 are deterministic (vertices explored in label order) and budget-bounded.
 """
@@ -18,14 +24,16 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .complexes import (
-    VOID,
     ComplexError,
     SimplicialComplex,
     VoidComplex,
-    delete_vertex,
+    _delete_m,
+    _face,
+    _link_m,
+    _masks,
+    _support,
     induced_subcomplex,
     join,
-    link,
     z2_betti,
 )
 
@@ -108,31 +116,37 @@ class _Counter:
 
 
 # -- deciding nonevasiveness ---------------------------------------------------
+#
+# The recursions below run on facet masks (see `complexes._masks`) over the
+# vertex index of the complex they start from; memo and dead-state keys are
+# mask sets over that one index, so they match labelled facet sets one to one.
 
 
-def _decide(X: SimplicialComplex, memo: dict, counter: _Counter):
-    key = X.facets
-    hit = memo.get(key)
+def _decide(F: frozenset, memo: dict, counter: _Counter, labels: tuple[str, ...]):
+    hit = memo.get(F)
     if hit is not None:
         return hit
     counter.spend()
-    if len(X.vertices) == 1:
-        result: Witness | _Outcome = PointWitness(X.vertices[0])
+    verts = _support(F)
+    if not verts & (verts - 1):
+        result: Witness | _Outcome = PointWitness(labels[verts.bit_length() - 1])
     else:
         result = EVASIVE
-        for v in X.vertices:
-            lk = link(X, v)
-            if lk is VOID:
+        while verts:
+            bit = verts & -verts
+            verts ^= bit
+            lk = _link_m(F, bit)
+            if not lk:
                 continue
-            wl = _decide(lk, memo, counter)
+            wl = _decide(lk, memo, counter, labels)
             if wl is EVASIVE:
                 continue
-            wd = _decide(delete_vertex(X, v), memo, counter)
+            wd = _decide(_delete_m(F, bit), memo, counter, labels)
             if wd is EVASIVE:
                 continue
-            result = SplitWitness(v, wl, wd)
+            result = SplitWitness(labels[bit.bit_length() - 1], wl, wd)
             break
-    memo[key] = result
+    memo[F] = result
     return result
 
 
@@ -147,8 +161,9 @@ def is_nonevasive(X: SimplicialComplex, budget: SearchBudget = DEFAULT_BUDGET):
         raise ComplexError("the void complex has no evasiveness status")
     if len(X.vertices) > budget.max_vertices:
         return BUDGET_EXCEEDED
+    _, F = _masks(X)
     try:
-        return _decide(X, {}, _Counter(budget.max_nodes))
+        return _decide(F, {}, _Counter(budget.max_nodes), X.vertices)
     except _BudgetHit:
         return BUDGET_EXCEEDED
 
@@ -157,28 +172,50 @@ def cone_witness(X: SimplicialComplex, apex: str) -> Witness:
     """Canonical witness for a cone: remove non-apex vertices in label order."""
     if any(apex not in f for f in X.facets):
         raise ComplexError(f"{apex!r} is not an apex: some facet misses it")
-    if X.vertices == (apex,):
-        return PointWitness(apex)
-    v = next(u for u in X.vertices if u != apex)
-    lk = link(X, v)
-    # lk is a cone with the same apex: every facet containing v contains apex
-    return SplitWitness(v, cone_witness(lk, apex), cone_witness(delete_vertex(X, v), apex))
+    bits, F = _masks(X)
+    return _cone_witness(F, bits[apex], X.vertices)
+
+
+def _cone_witness(F: frozenset, apex: int, labels: tuple[str, ...]) -> Witness:
+    rest = _support(F) ^ apex
+    if not rest:
+        return PointWitness(labels[apex.bit_length() - 1])
+    bit = rest & -rest
+    # the link is a cone with the same apex: every facet containing v contains apex
+    return SplitWitness(
+        labels[bit.bit_length() - 1],
+        _cone_witness(_link_m(F, bit), apex, labels),
+        _cone_witness(_delete_m(F, bit), apex, labels),
+    )
+
+
+def _witness_holds(F: frozenset, w, bits: dict[str, int]) -> bool:
+    # replay the recursion on masks, one witness node at a time
+    stack = [(F, w)]
+    while stack:
+        F, w = stack.pop()
+        if isinstance(w, PointWitness):
+            if F != {bits.get(w.vertex)}:
+                return False
+            continue
+        if not isinstance(w, SplitWitness):
+            return False
+        # an unknown or absent vertex, or the only one, has a void link
+        bit = bits.get(w.vertex, 0)
+        lk = _link_m(F, bit)
+        if not lk:
+            return False
+        stack.append((_delete_m(F, bit), w.deletion))
+        stack.append((lk, w.link))
+    return True
 
 
 def verify_witness(X, w) -> bool:
     """Replay the recursion, recomputing links and deletions; malformed => False."""
-    if isinstance(X, VoidComplex) or not isinstance(X, SimplicialComplex):
+    if not isinstance(X, SimplicialComplex):
         return False
-    if isinstance(w, PointWitness):
-        return X.facets == frozenset({frozenset({w.vertex})})
-    if not isinstance(w, SplitWitness):
-        return False
-    if w.vertex not in X.vertices or len(X.vertices) < 2:
-        return False
-    lk = link(X, w.vertex)
-    if lk is VOID:
-        return False
-    return verify_witness(lk, w.link) and verify_witness(delete_vertex(X, w.vertex), w.deletion)
+    bits, F = _masks(X)
+    return _witness_holds(F, w, bits)
 
 
 # -- NE-reduction certificates ---------------------------------------------------
@@ -187,17 +224,18 @@ def verify_witness(X, w) -> bool:
 def replay_certificate(X: SimplicialComplex, cert: NECertificate):
     """Apply the removals, verifying each link witness; the final complex, or
     None when any step fails."""
-    cur = X
+    if not len(cert):
+        return X
+    if not isinstance(X, SimplicialComplex):
+        return None
+    bits, F = _masks(X)
     for x, w in cert.steps():
-        if not isinstance(cur, SimplicialComplex) or x not in cur.vertices:
+        bit = bits.get(x, 0)
+        lk = _link_m(F, bit)
+        if not lk or not _witness_holds(lk, w, bits):
             return None
-        if len(cur.vertices) < 2:
-            return None
-        lk = link(cur, x)
-        if lk is VOID or not verify_witness(lk, w):
-            return None
-        cur = delete_vertex(cur, x)
-    return cur
+        F = _delete_m(F, bit)
+    return SimplicialComplex([_face(f, X.vertices) for f in F])
 
 
 def verify_ne_certificate(X, Y, cert) -> bool:
@@ -222,34 +260,38 @@ def search_ne_reduction(
     if induced_subcomplex(X, Y.vertices) != Y:
         # vertex removals always land on induced subcomplexes
         return NOT_FOUND
-    keep = set(Y.vertices)
+    bits, F = _masks(X)
+    labels = X.vertices
+    keep = sum(bits[v] for v in Y.vertices)
     memo: dict = {}
     counter = _Counter(budget.max_nodes)
     dead: set = set()
 
-    def dfs(cur: SimplicialComplex):
-        if set(cur.vertices) == keep:
+    def dfs(F: frozenset):
+        verts = _support(F)
+        if verts == keep:
             return []
         counter.spend()
-        if cur.facets in dead:
+        if F in dead:
             return None
-        for v in cur.vertices:
-            if v in keep:
+        verts ^= keep
+        while verts:
+            bit = verts & -verts
+            verts ^= bit
+            lk = _link_m(F, bit)
+            if not lk:
                 continue
-            lk = link(cur, v)
-            if lk is VOID:
-                continue
-            w = _decide(lk, memo, counter)
+            w = _decide(lk, memo, counter, labels)
             if w is EVASIVE:
                 continue
-            rest = dfs(delete_vertex(cur, v))
+            rest = dfs(_delete_m(F, bit))
             if rest is not None:
-                return [(v, w)] + rest
-        dead.add(cur.facets)
+                return [(labels[bit.bit_length() - 1], w)] + rest
+        dead.add(F)
         return None
 
     try:
-        found = dfs(X)
+        found = dfs(F)
     except _BudgetHit:
         return BUDGET_EXCEEDED
     if found is None:

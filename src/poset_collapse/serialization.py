@@ -50,6 +50,9 @@ def load_json(path) -> object:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        # the stdlib decoder recurses once per nesting level
+        raise InputError(f"{path}: JSON nested too deeply to decode") from None
 
 
 def _need(data, field, kind, where):

@@ -2,11 +2,15 @@
 
 Run with `pytest -v -s tests/test_acceptance.py` to see the per-criterion
 lines and counters.  The heavy suites are exhaustive at desk scale; see the
-class docstrings for the coverage strategy of each.
+class docstrings for the coverage strategy of each.  Every test here carries
+the `acceptance` marker, so `pytest -m "not acceptance"` runs the rest of the
+suite in seconds.
 """
 
 import random
 import time
+
+import pytest
 
 from poset_collapse import (
     EVASIVE,
@@ -52,6 +56,8 @@ from poset_collapse.enumeration import (
 )
 
 from conftest import betti_equal, naive_nonevasive
+
+pytestmark = pytest.mark.acceptance
 
 # labeled-poset counts are pinned to the literature; the map totals pin the
 # enumeration stream so a silent generator regression cannot shrink coverage

@@ -298,6 +298,29 @@ class TestHygiene:
         assert code == 2
         assert "must be a string label" in err
 
+    def test_deeply_nested_witness_is_exit_2(self, files, capsys):
+        # 600 split nodes are 1,201 JSON levels, past the decoder's recursion
+        tmp, write = files
+        cx = write("edge.json", {"facets": [["a", "b"]]})
+        text = '{"point": "a"}'
+        for _ in range(600):
+            text = '{"split": {"v": "a", "link": {"point": "b"}, "deletion": ' + text + "}}"
+        witness = tmp / "deep.json"
+        witness.write_text(text)
+        code, out, err = run(["verify-witness", "--complex", cx, "--witness", str(witness)], capsys)
+        assert code == 2
+        assert "nested too deeply" in err
+        assert "Traceback" not in err and out == ""
+
+    def test_deeply_nested_arrays_are_exit_2(self, files, capsys):
+        tmp, write = files
+        bad = tmp / "brackets.json"
+        bad.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(["nonevasive", "--complex", str(bad)], capsys)
+        assert code == 2
+        assert "nested too deeply" in err
+        assert "Traceback" not in err and out == ""
+
     def test_env_budget_override(self, files, capsys, monkeypatch):
         tmp, write = files
         cx = write("simplex.json", {"facets": [["a", "b", "c", "d", "e"]]})

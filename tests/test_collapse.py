@@ -1,5 +1,6 @@
 """Elementary collapses, sequence search, and witness compilation."""
 
+import random
 from itertools import combinations
 
 import hypothesis.strategies as st
@@ -15,9 +16,11 @@ from poset_collapse import (
     ComplexError,
     NECertificate,
     Poset,
+    PointWitness,
     PosetMap,
     SearchBudget,
     SimplicialComplex,
+    SplitWitness,
     apply_collapse,
     certificate_to_collapse,
     free_pairs,
@@ -26,6 +29,7 @@ from poset_collapse import (
     link,
     order_complex,
     reduced_euler,
+    replay_certificate,
     search_collapse,
     search_ne_reduction,
     theorem_reduce,
@@ -34,6 +38,7 @@ from poset_collapse import (
     z2_betti,
 )
 from poset_collapse.collapse import FaceStore
+from poset_collapse.enumeration import iter_posets, map_from_table, monotone_tables, poset_from_masks
 
 from conftest import betti_equal, complexes
 
@@ -194,6 +199,79 @@ class TestCertificateCompilation:
                 assert betti_equal(z2_betti(cur), betti)
             assert cur == target
             break
+
+
+def _witness_nodes(w, path=()):
+    yield path, w
+    if isinstance(w, SplitWitness):
+        yield from _witness_nodes(w.link, path + ("link",))
+        yield from _witness_nodes(w.deletion, path + ("deletion",))
+
+
+def _replace_node(w, path, new):
+    if not path:
+        return new
+    if path[0] == "link":
+        return SplitWitness(w.vertex, _replace_node(w.link, path[1:], new), w.deletion)
+    return SplitWitness(w.vertex, w.link, _replace_node(w.deletion, path[1:], new))
+
+
+def _corruptions(X, cert):
+    """Certificates with one witness node's vertex changed to each other
+    vertex of X and to a label X does not have; on a point node this
+    changes the point."""
+    for i, w in enumerate(cert.witnesses):
+        for path, node in _witness_nodes(w):
+            labels = [v for v in X.vertices if v != node.vertex] + ["zz"]
+            if isinstance(node, SplitWitness):
+                swaps = [SplitWitness(v, node.link, node.deletion) for v in labels]
+            else:
+                swaps = [PointWitness(v) for v in labels]
+            for new in swaps:
+                wits = list(cert.witnesses)
+                wits[i] = _replace_node(w, path, new)
+                yield NECertificate(cert.removed, tuple(wits))
+
+
+def _grid_reduction():
+    # [3]^2 with x -> min(x, 1) coordinatewise, onto its fixed points
+    pts = [(i, j) for i in range(3) for j in range(3)]
+    label = {p: f"{p[0]}{p[1]}" for p in pts}
+    covers = [(label[p], label[q]) for p in pts for q in pts
+              if q[0] - p[0] + q[1] - p[1] == 1 and q[0] >= p[0] and q[1] >= p[1]]
+    P = Poset([label[p] for p in pts], covers)
+    phi = PosetMap(P, {label[p]: label[(min(p[0], 1), min(p[1], 1))] for p in pts})
+    return P, phi
+
+
+def _seeded_reductions():
+    yield _grid_reduction()
+    posets = list(iter_posets(5))
+    for seed in range(10):
+        rng = random.Random(seed)
+        below = rng.choice(posets)
+        P = poset_from_masks(below)
+        yield P, map_from_table(P, rng.choice(monotone_tables(below)))
+
+
+class TestCompileChecksWitnessesInline:
+    def test_corrupted_nodes_raise_exactly_when_replay_rejects(self):
+        rejected = accepted = 0
+        for P, phi in _seeded_reductions():
+            X = order_complex(P)
+            cert = theorem_reduce(P, phi, phi.fixed_points()).certificate
+            # the certificate itself is the control that must compile
+            for bad in [cert, *_corruptions(X, cert)]:
+                end = replay_certificate(X, bad)
+                try:
+                    seq = certificate_to_collapse(X, bad)
+                except ComplexError:
+                    assert end is None
+                    rejected += 1
+                else:
+                    assert end is not None and verify_collapse(X, end, seq)
+                    accepted += 1
+        assert rejected > 1000 and accepted >= 11
 
 
 class TestSearchCollapse:

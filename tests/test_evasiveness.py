@@ -1,12 +1,17 @@
 """Witness search/verification, NE-certificates, join lifting, zigzag merging."""
 
+from itertools import combinations
+
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from poset_collapse import (
     BUDGET_EXCEEDED,
+    DEFAULT_BUDGET,
     EVASIVE,
     NOT_FOUND,
+    VOID,
     ComplexError,
     NECertificate,
     PointWitness,
@@ -16,6 +21,7 @@ from poset_collapse import (
     classify_ne_equivalence,
     common_expansion,
     cone_witness,
+    delete_vertex,
     induced_subcomplex,
     is_nonevasive,
     join,
@@ -30,6 +36,8 @@ from poset_collapse import (
     verify_witness,
     z2_betti,
 )
+from poset_collapse.complexes import _delete_m, _face, _link_m, _masks
+from poset_collapse.enumeration import complex_from_masks, iter_antichain_complexes
 
 from conftest import betti_equal, complexes, naive_nonevasive
 
@@ -299,3 +307,150 @@ class TestReplay:
             cert = search_ne_reduction(X, target, SearchBudget(max_nodes=20000))
             if isinstance(cert, NECertificate):
                 assert verify_ne_certificate(X, target, cert)
+
+
+# -- label-level reference for the facet-mask kernel ---------------------------
+#
+# The decision and the NE-reduction search as they ran on SimplicialComplex
+# objects, through the public link/delete_vertex, with memo and dead-state
+# keys on labelled facet sets.  The kernel must return the same witnesses and
+# certificates and run out of budget at the same budgets.
+
+
+class _RefBudgetHit(Exception):
+    pass
+
+
+class _RefCounter:
+    def __init__(self, n):
+        self.left = n
+
+    def spend(self):
+        self.left -= 1
+        if self.left < 0:
+            raise _RefBudgetHit
+
+
+def ref_decide(X, memo, counter):
+    key = X.facets
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    counter.spend()
+    if len(X.vertices) == 1:
+        result = PointWitness(X.vertices[0])
+    else:
+        result = EVASIVE
+        for v in X.vertices:
+            lk = link(X, v)
+            if lk is VOID:
+                continue
+            wl = ref_decide(lk, memo, counter)
+            if wl is EVASIVE:
+                continue
+            wd = ref_decide(delete_vertex(X, v), memo, counter)
+            if wd is EVASIVE:
+                continue
+            result = SplitWitness(v, wl, wd)
+            break
+    memo[key] = result
+    return result
+
+
+def ref_is_nonevasive(X, budget):
+    if len(X.vertices) > budget.max_vertices:
+        return BUDGET_EXCEEDED
+    try:
+        return ref_decide(X, {}, _RefCounter(budget.max_nodes))
+    except _RefBudgetHit:
+        return BUDGET_EXCEEDED
+
+
+def ref_search_ne_reduction(X, Y, budget):
+    """For an induced target Y of X."""
+    if len(X.vertices) > budget.max_vertices:
+        return BUDGET_EXCEEDED
+    keep = set(Y.vertices)
+    memo = {}
+    counter = _RefCounter(budget.max_nodes)
+    dead = set()
+
+    def dfs(cur):
+        if set(cur.vertices) == keep:
+            return []
+        counter.spend()
+        if cur.facets in dead:
+            return None
+        for v in cur.vertices:
+            if v in keep:
+                continue
+            lk = link(cur, v)
+            if lk is VOID:
+                continue
+            w = ref_decide(lk, memo, counter)
+            if w is EVASIVE:
+                continue
+            rest = dfs(delete_vertex(cur, v))
+            if rest is not None:
+                return [(v, w)] + rest
+        dead.add(cur.facets)
+        return None
+
+    try:
+        found = dfs(X)
+    except _RefBudgetHit:
+        return BUDGET_EXCEEDED
+    if found is None:
+        return NOT_FOUND
+    return NECertificate(tuple(v for v, _ in found), tuple(w for _, w in found))
+
+
+BUDGETS = [SearchBudget(max_nodes=n) for n in (1, 2, 3, 5, 8, 13)] + [DEFAULT_BUDGET]
+SMALL_COMPLEXES = [complex_from_masks(m) for m in iter_antichain_complexes(4)]
+
+
+class TestKernelMatchesLabelReference:
+    @pytest.mark.parametrize("budget", BUDGETS, ids=lambda b: str(b.max_nodes))
+    def test_decisions_on_every_complex_up_to_four_vertices(self, budget):
+        kinds = set()
+        for X in SMALL_COMPLEXES:
+            got = is_nonevasive(X, budget)
+            assert got == ref_is_nonevasive(X, budget), X
+            kinds.add(got if got in (EVASIVE, BUDGET_EXCEEDED) else type(got))
+        if budget.max_nodes >= 5:
+            assert {EVASIVE, PointWitness, SplitWitness} <= kinds
+        else:
+            assert BUDGET_EXCEEDED in kinds
+
+    @pytest.mark.parametrize("budget", BUDGETS, ids=lambda b: str(b.max_nodes))
+    def test_searches_to_every_induced_target(self, budget):
+        outcomes = set()
+        for X in SMALL_COMPLEXES:
+            vs = X.vertices
+            for k in range(1, len(vs) + 1):
+                for keep in combinations(vs, k):
+                    Y = induced_subcomplex(X, keep)
+                    if Y is VOID:
+                        continue
+                    got = search_ne_reduction(X, Y, budget)
+                    assert got == ref_search_ne_reduction(X, Y, budget), (X, keep)
+                    outcomes.add(got if got in (NOT_FOUND, BUDGET_EXCEEDED) else NECertificate)
+        assert NECertificate in outcomes and NOT_FOUND in outcomes
+        if budget.max_nodes < 5:
+            assert BUDGET_EXCEEDED in outcomes
+
+    @given(complexes(max_vertices=5), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_mask_link_and_deletion_match_the_label_operations(self, X, data):
+        bits, F = _masks(X)
+        assert frozenset(_face(f, X.vertices) for f in F) == X.facets
+        v = data.draw(st.sampled_from(X.vertices))
+        lk = _link_m(F, bits[v])
+        expected = link(X, v)
+        if expected is VOID:
+            assert lk == frozenset()
+        else:
+            assert frozenset(_face(f, X.vertices) for f in lk) == expected.facets
+        if len(X.vertices) > 1:
+            rest = _delete_m(F, bits[v])
+            assert frozenset(_face(f, X.vertices) for f in rest) == delete_vertex(X, v).facets
