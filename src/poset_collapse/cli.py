@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 success/verified, 1 not-found/not-verified/inequality,
-2 malformed input, 3 budget exceeded.  Outputs are JSON, byte-stable for a
-fixed input and seed; the seed is recorded in every structured output.
+2 malformed input or an `--output` path that cannot be written, 3 budget
+exceeded.  Outputs are JSON, byte-stable for a fixed input and seed; the seed
+is recorded in every structured output.
 """
 
 from __future__ import annotations
@@ -54,8 +55,11 @@ def _emit(args, data: dict) -> None:
     data["seed"] = args.seed
     text = ser.dumps(data)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ser.InputError(f"{args.output}: {e.strerror or e}") from None
     else:
         sys.stdout.write(text)
 

@@ -12,11 +12,21 @@ Formats (exact field names):
 
 Every element and vertex label is a JSON string; loaders reject anything
 else with InputError.
+
+Output contract of `dumps`: the bytes of
+`json.dumps(data, indent=2, sort_keys=True)` plus a trailing newline, that
+is a 2-space indent, keys sorted, every string `ensure_ascii`-escaped.  It
+accepts dicts with `str` keys, lists, tuples, strs, ints, bools and None, and
+raises TypeError on anything else, floats included: no output of the CLI
+holds a float or a non-`str` key.  It walks the data on an explicit stack, so
+no nesting depth hits the recursion limit.  Witness trees are converted to
+and from data on explicit stacks too.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 from .collapse import CollapseSequence
@@ -36,8 +46,87 @@ class InputError(ValueError):
     """Malformed input file; the message carries a field/position diagnostic."""
 
 
+_END = object()
+
+
 def dumps(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(data, indent=2, sort_keys=True) + "\\n"`, byte for byte.
+
+    The stdlib's `indent` output runs its pure-Python encoder; this writes
+    the same text with the C string encoder and joins each list of strings
+    (faces, labels) in one call.  A container met again inside itself raises
+    ValueError; a float, a non-`str` key or any other type raises TypeError.
+    """
+    chunks = []
+    emit = chunks.append
+    pads = ["\n"]  # pads[d]: a newline and the indent of depth d
+    seps = [",\n"]  # seps[d]: the separator between items at depth d
+    stack = []  # open containers: (items iterator, is dict, separator, closer, id)
+    open_ids = set()
+    value = data
+    while True:
+        if isinstance(value, str):
+            emit(_encode_str(value))
+        elif value is None:
+            emit("null")
+        elif value is True:
+            emit("true")
+        elif value is False:
+            emit("false")
+        elif isinstance(value, int):
+            emit(int.__repr__(value))
+        elif isinstance(value, (list, tuple, dict)):
+            if not value:
+                emit("{}" if isinstance(value, dict) else "[]")
+            else:
+                depth = len(stack)
+                if len(pads) == depth + 1:
+                    pads.append(pads[depth] + "  ")
+                    seps.append(seps[depth] + "  ")
+                inner, sep, outer = pads[depth + 1], seps[depth + 1], pads[depth]
+                head = None
+                is_dict = isinstance(value, dict)
+                if is_dict:
+                    items = iter(sorted(value.items()))
+                    k, child = next(items)
+                    head, closer = "{" + inner + _encode_str(k) + ": ", outer + "}"
+                else:
+                    try:
+                        emit("[" + inner + sep.join(map(_encode_str, value)) + outer + "]")
+                    except TypeError:  # not only strings: open the list below
+                        items = iter(value)
+                        child = next(items)
+                        head, closer = "[" + inner, outer + "]"
+                if head is not None:
+                    key = id(value)
+                    if key in open_ids:
+                        raise ValueError("Circular reference detected")
+                    open_ids.add(key)
+                    emit(head)
+                    stack.append((items, is_dict, sep, closer, key))
+                    value = child
+                    continue
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        # close finished containers up to the next item
+        while stack:
+            items, is_dict, sep, closer, key = stack[-1]
+            item = next(items, _END)
+            if item is _END:
+                stack.pop()
+                open_ids.discard(key)
+                emit(closer)
+            elif is_dict:
+                k, value = item
+                emit(sep + _encode_str(k) + ": ")
+                break
+            else:
+                value = item
+                emit(sep)
+                break
+        else:
+            emit("\n")
+            return "".join(chunks)
 
 
 def load_json(path) -> object:
@@ -131,31 +220,70 @@ def homology_to_data(X: SimplicialComplex) -> dict:
 
 
 def witness_to_data(w) -> dict:
-    if isinstance(w, PointWitness):
-        return {"point": w.vertex}
-    return {
-        "split": {
-            "v": w.vertex,
-            "link": witness_to_data(w.link),
-            "deletion": witness_to_data(w.deletion),
-        }
-    }
+    # an explicit stack of links still to convert, so any depth converts
+    root = {}
+    todo = [(w, root)]
+    while todo:
+        w, out = todo.pop()
+        while not isinstance(w, PointWitness):  # walk the deletion chain in place
+            link, deletion = {}, {}
+            out["split"] = {"v": w.vertex, "link": link, "deletion": deletion}
+            todo.append((w.link, link))
+            w, out = w.deletion, deletion
+        out["point"] = w.vertex
+    return root
+
+
+_NO_DELETION = object()
 
 
 def witness_from_data(data, where: str = "witness"):
-    if not isinstance(data, dict):
-        raise InputError(f"{where}: expected an object")
-    if "point" in data:
-        return PointWitness(_need(data, "point", str, where))
-    if "split" in data:
-        node = data["split"]
-        v = _need(node, "v", str, where)
-        return SplitWitness(
-            v,
-            witness_from_data(_need(node, "link", dict, where), f"{where}.link"),
-            witness_from_data(_need(node, "deletion", dict, where), f"{where}.deletion"),
-        )
-    raise InputError(f"{where}: expected a 'point' or 'split' node")
+    # An explicit stack, so a witness of any depth decodes.  Entries are
+    # (node, step, None) to decode a node, (None, step, v) for a split
+    # waiting on its link and deletion, and (split, "", _NO_DELETION) for a
+    # split whose deletion is missing.  Nodes are checked in recursive order
+    # (v, link subtree, then deletion), so a malformed file reports the same
+    # first error; the path in it is rendered from the waiting splits.
+    todo = [(data, "", None)]
+    done = []  # decoded subtrees, the latest last
+
+    def at(step):
+        return where + "".join(s for _, s, v in todo if isinstance(v, str)) + step
+
+    while todo:
+        data, step, v = todo.pop()
+        if v is not None:
+            if v is _NO_DELETION:
+                _need(data, "deletion", dict, at(""))  # raises
+            deletion = done.pop()
+            done[-1] = SplitWitness(v, done[-1], deletion)
+            continue
+        if not isinstance(data, dict):
+            raise InputError(f"{at(step)}: expected an object")
+        if "point" in data:
+            v = data["point"]
+            if not isinstance(v, str):
+                _need(data, "point", str, at(step))  # raises
+            done.append(PointWitness(v))
+        elif "split" in data:
+            node = data["split"]
+            if not (
+                isinstance(node, dict)
+                and isinstance(node.get("v"), str)
+                and isinstance(node.get("link"), dict)
+            ):
+                _need(node, "v", str, at(step))  # one of the two raises
+                _need(node, "link", dict, at(step))
+            todo.append((None, step, node["v"]))
+            deletion = node.get("deletion")
+            if isinstance(deletion, dict):
+                todo.append((deletion, ".deletion", None))
+            else:  # reported after the link subtree, as the recursion did
+                todo.append((node, "", _NO_DELETION))
+            todo.append((node["link"], ".link", None))
+        else:
+            raise InputError(f"{at(step)}: expected a 'point' or 'split' node")
+    return done[0]
 
 
 def certificate_to_data(cert: NECertificate) -> dict:

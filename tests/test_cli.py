@@ -24,9 +24,17 @@ def files(tmp_path):
     return tmp_path, write
 
 
+def canonical(text) -> str:
+    """The stdlib's indent=2, sorted-keys text of the same JSON value."""
+    return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
 def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
+    # every JSON a subcommand prints is the stdlib's text of that value, byte for byte
+    if out.out:
+        assert out.out == canonical(out.out)
     return code, out.out, out.err
 
 
@@ -262,7 +270,21 @@ class TestHygiene:
         out_path = tmp / "out.json"
         code, out, _ = run(["order-complex", "--poset", poset, "-o", str(out_path)], capsys)
         assert code == 0 and out == ""
-        assert json.loads(out_path.read_text())["facets"]
+        text = out_path.read_text()
+        assert json.loads(text)["facets"]
+        assert text == canonical(text)
+
+    def test_unwritable_output_is_exit_2(self, files, capsys):
+        tmp, write = files
+        poset = write("b2.json", B2)
+        out_path = tmp / "no-such-dir" / "out.json"
+        code, out, err = run(["order-complex", "--poset", poset, "-o", str(out_path)], capsys)
+        assert code == 2
+        assert err == f"error: {out_path}: No such file or directory\n"
+        assert out == ""
+        code, out, err = run(["order-complex", "--poset", poset, "-o", str(tmp)], capsys)
+        assert code == 2
+        assert "Traceback" not in err and err.startswith(f"error: {tmp}: ")
 
     def test_malformed_json_is_exit_2_with_position(self, files, capsys):
         tmp, write = files
