@@ -58,11 +58,69 @@ class PointWitness:
     vertex: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class SplitWitness:
+    """A split at `vertex`, with witnesses for its link and its deletion.
+
+    `==`, `hash` and `repr` give what the dataclass would generate, but walk
+    the tree on an explicit stack, so they work at any depth.  Equal subtrees
+    may be one shared object; each pair of nodes is compared once."""
+
     vertex: str
     link: "Witness"
     deletion: "Witness"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # every node is alive while both roots are, so ids identify nodes here
+        seen = set()
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.__class__ is not SplitWitness or b.__class__ is not SplitWitness:
+                if a != b:
+                    return False
+                continue
+            if (id(a), id(b)) in seen:
+                continue
+            seen.add((id(a), id(b)))
+            if a.vertex != b.vertex:
+                return False
+            stack.append((a.deletion, b.deletion))
+            stack.append((a.link, b.link))
+        return True
+
+    def __hash__(self):
+        done: dict[int, int] = {}
+        stack = [self]
+        while stack:
+            w = stack[-1]
+            todo = [c for c in (w.link, w.deletion)
+                    if c.__class__ is SplitWitness and id(c) not in done]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            done[id(w)] = hash((w.vertex, *(done[id(c)] if c.__class__ is SplitWitness else hash(c)
+                                             for c in (w.link, w.deletion))))
+        return done[id(self)]
+
+    def __repr__(self):
+        parts = []
+        stack = [(False, self)]
+        while stack:
+            text, item = stack.pop()
+            if text:
+                parts.append(item)
+            elif item.__class__ is SplitWitness:
+                parts.append(f"SplitWitness(vertex={item.vertex!r}, link=")
+                stack += [(True, ")"), (False, item.deletion), (True, ", deletion="), (False, item.link)]
+            else:
+                parts.append(repr(item))
+        return "".join(parts)
 
 
 Witness = Union[PointWitness, SplitWitness]

@@ -7,29 +7,40 @@ down, Delta(P_<x) is nonevasive via an explicit recursion that peels the
 elements of P_<x not below f(x) in decreasing linear-extension order and
 finishes at the cone Delta(P_<=f(x)) with apex f(x).  The strictly-up case is
 the same construction on the dual poset.
+
+The construction runs on element masks over P's sorted elements, with the
+stabilized map as an int table.  It rests on two facts about order
+complexes, for S a set of elements and v in S:
+
+- the link of v in Delta(S) is Delta(S & comp v), where comp v holds the
+  elements comparable to v, other than v;
+- the deletion of v from Delta(S) is Delta(S - v).
+
+So a subposet is one int, a link is one AND, a deletion is one XOR, and the
+label-least element is the lowest bit; no induced poset, order complex or
+`PosetMap` is built per removed element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional, Sequence
 
 from .collapse import CollapseSequence, certificate_to_collapse
-from .complexes import SimplicialComplex, order_complex
-from .evasiveness import (
-    NECertificate,
-    SplitWitness,
-    Witness,
-    cone_witness,
-    join_witness,
-)
+from .complexes import ComplexError, order_complex
+from .evasiveness import NECertificate, PointWitness, SplitWitness, Witness
 from .poset import Poset, PosetError, PosetMap, stabilize
 
 
 @dataclass(frozen=True)
 class ReductionReport:
     """Outcome of a reduction: the stabilized map actually used, the removal
-    order, the verified certificate, and optionally the compiled collapse."""
+    order, the certificate, and optionally the compiled collapse.
+
+    Each witness of the certificate is replayed before it is joined with the
+    other side of its interval, but the certificate as a whole is checked
+    node by node only with `emit_collapse=True`, while it is compiled into
+    the collapse.  Otherwise check it with `verify_ne_certificate`."""
 
     gamma: PosetMap
     removal_order: tuple[str, ...]
@@ -37,42 +48,138 @@ class ReductionReport:
     collapse: Optional[CollapseSequence] = None
 
 
-def _greedy_decreasing(B: Poset, subset: Iterable[str]) -> list[str]:
-    # decreasing linear extension of `subset` inside B: repeatedly take the
-    # label-least element that is maximal among the remaining ones
-    remaining = set(subset)
-    order = []
-    while remaining:
-        for e in sorted(remaining):
-            if not any(B.lt(e, o) for o in remaining):
-                order.append(e)
-                remaining.remove(e)
-                break
-    return order
+class _IntervalBuilder:
+    """Interval witnesses in one poset P under one int table g over P's
+    sorted elements; subposets of P are element masks.  Cones are memoised
+    per builder, so equal subtrees of the witnesses it returns are shared."""
+
+    __slots__ = ("labels", "index", "down", "up", "comp", "g", "_cones")
+
+    def __init__(self, P: Poset, g: Sequence[int]):
+        self.labels = P.elements
+        self.index = P._index
+        self.down = P._below
+        self.up = P._above
+        self.comp = tuple(d | u for d, u in zip(P._below, P._above))
+        self.g = g
+        self._cones: dict[tuple[int, int], Witness] = {}
+
+    def cone(self, S: int, apex: int) -> Witness:
+        """The witness of `cone_witness(Delta(S), apex)`: remove the non-apex
+        elements in label order."""
+        key = (S, apex)
+        w = self._cones.get(key)
+        if w is None:
+            abit = 1 << apex
+            # apex lies in every maximal chain of S iff it is comparable to all of S
+            if S & ~self.comp[apex] != abit:
+                raise ComplexError(f"{self.labels[apex]!r} is not an apex: some facet misses it")
+            rest = S ^ abit
+            if not rest:
+                w = PointWitness(self.labels[apex])
+            else:
+                bit = rest & -rest
+                v = bit.bit_length() - 1
+                w = SplitWitness(self.labels[v], self.cone(S & self.comp[v], apex), self.cone(S ^ bit, apex))
+            self._cones[key] = w
+        return w
+
+    def descending(self, B: int, top: int, down: Sequence[int], up: Sequence[int]) -> Witness:
+        """Witness that Delta(B) is nonevasive, for B an open lower interval
+        (in the order whose rows are `down`/`up`) whose map sends every element
+        not below `top` strictly down, with g(x) = top for the removed
+        interval's element x.
+
+        Peels B minus the down-set of `top`; the final complex is a cone with
+        apex `top`."""
+        tbit = 1 << top
+        if not B & tbit:
+            raise PosetError(f"unknown element {self.labels[top]!r}")
+        removable = B & ~(down[top] | tbit)
+        if not removable:
+            return self.cone(B, top)
+        # the label-least element that is maximal among the removable ones
+        m = removable
+        while up[(m & -m).bit_length() - 1] & removable:
+            m &= m - 1
+        abit = m & -m
+        a = abit.bit_length() - 1
+        below = B & down[a]
+        # g(a) < a here: a <= nothing above top, so an image above a would
+        # force a < g(a) <= top and land a inside the peeled-off down-set
+        wl = self.descending(below, self.g[a], down, up)
+        above = B & up[a]
+        if above:
+            wl = self.join(below, wl, above)
+        return SplitWitness(self.labels[a], wl, self.descending(B ^ abit, top, down, up))
+
+    def interval(self, cur: int, x: int) -> Witness:
+        """Witness for the link of x in Delta(cur), where g moves x."""
+        down, up = self.down, self.up
+        if not down[x] >> self.g[x] & 1:
+            # invert the partial order: the same construction applies above x
+            down, up = up, down
+        B = cur & down[x]
+        w = self.descending(B, self.g[x], down, up)
+        other = cur & up[x]
+        if other:
+            w = self.join(B, w, other)
+        return w
+
+    def join(self, X: int, w: Witness, Y: int) -> Witness:
+        """`join_witness(Delta(X), w, Delta(Y))` for X entirely below or
+        entirely above Y, so that the join is Delta(X | Y): split nodes keep
+        their vertex, and each point p becomes the cone Delta(Y | p) with
+        apex p."""
+        if X & Y:
+            raise ComplexError("join requires disjoint vertex labels")
+        if not self._holds(X, w):
+            raise ComplexError("input witness does not verify")
+        return self._transport(w, Y, {})
+
+    def _transport(self, w: Witness, Y: int, done: dict) -> Witness:
+        # `done` is keyed by node id: every node of the input is alive while
+        # the input is, and shared subtrees are transported once
+        out = done.get(id(w))
+        if out is None:
+            if isinstance(w, PointWitness):
+                p = self.index[w.vertex]
+                out = self.cone(Y | 1 << p, p)
+            else:
+                out = SplitWitness(w.vertex, self._transport(w.link, Y, done),
+                                   self._transport(w.deletion, Y, done))
+            done[id(w)] = out
+        return out
+
+    def _holds(self, S: int, w: Witness) -> bool:
+        # `verify_witness(Delta(S), w)` by the two facts of the module
+        # docstring; a shared subtree is replayed once per element mask
+        index, comp = self.index, self.comp
+        seen = set()
+        stack = [(S, w)]
+        while stack:
+            S, w = stack.pop()
+            if (S, id(w)) in seen:
+                continue
+            seen.add((S, id(w)))
+            i = index.get(w.vertex)
+            if i is None:
+                return False
+            bit = 1 << i
+            if isinstance(w, PointWitness):
+                if S != bit:
+                    return False
+                continue
+            # an absent vertex, or one comparable to nothing left, has a void link
+            if not S & bit or not S & comp[i]:
+                return False
+            stack.append((S ^ bit, w.deletion))
+            stack.append((S & comp[i], w.link))
+        return True
 
 
-def _descending_witness(B: Poset, f: Mapping[str, str], top: str) -> Witness:
-    """Witness that Delta(B) is nonevasive, for B an open lower interval whose
-    restricted map sends every element not below `top` strictly down, with
-    f(x) = top for the removed interval's element x.
-
-    Peels B \\ {y : y <= top}; the final complex is a cone with apex `top`.
-    """
-    target = B.down_set(top)
-    removable = [e for e in B.elements if e not in target]
-    if not removable:
-        return cone_witness(order_complex(B), top)
-    a = _greedy_decreasing(B, removable)[0]
-    below = B.induced(B.strictly_below(a))
-    # f[a] < a here: a <= nothing above top, so an image above a would force
-    # a < f(a) <= top and land a inside the peeled-off down-set
-    wl = _descending_witness(below, f, f[a])
-    above = B.strictly_above(a)
-    if above:
-        wl = join_witness(order_complex(below), wl, order_complex(B.induced(above)))
-    deletion = B.induced(set(B.elements) - {a})
-    wd = _descending_witness(deletion, f, top)
-    return SplitWitness(a, wl, wd)
+def _int_table(P: Poset, phi: PosetMap) -> list[int]:
+    return [P._check(phi(e)) for e in P.elements]
 
 
 def interval_witness(P: Poset, phi: PosetMap, x: str) -> Witness:
@@ -83,20 +190,8 @@ def interval_witness(P: Poset, phi: PosetMap, x: str) -> Witness:
     fx = phi(x)
     if fx == x:
         raise PosetError(f"{x!r} is a fixed point; its link needs no witness here")
-    below = P.strictly_below(x)
-    above = P.strictly_above(x)
-    if P.lt(fx, x):
-        B = P.induced(below)
-        w = _descending_witness(B, phi.table, fx)
-        if above:
-            w = join_witness(order_complex(B), w, order_complex(P.induced(above)))
-    else:
-        # invert the partial order: the same construction applies above x
-        B = P.induced(above)
-        w = _descending_witness(B.dual(), phi.table, fx)
-        if below:
-            w = join_witness(order_complex(B), w, order_complex(P.induced(below)))
-    return w
+    builder = _IntervalBuilder(P, _int_table(P, phi))
+    return builder.interval((1 << len(P)) - 1, P._check(x))
 
 
 def theorem_reduce(
@@ -123,25 +218,38 @@ def theorem_reduce(
         raise PosetError(f"Q contains unknown elements: {sorted(unknown)}")
     if not phi.fixed_points() <= Qset:
         raise PosetError("Q must contain every fixed point of the map")
-    gamma = phi.power(len(P) - len(Qset))
-    if not gamma.image() <= Qset:
+    f = _int_table(P, phi)
+    g = list(range(len(P)))
+    for _ in range(len(P) - len(Qset)):
+        g = [f[i] for i in g]
+    qmask = 0
+    for e in Qset:
+        qmask |= 1 << P._index[e]
+    if all(qmask >> i & 1 for i in g):
+        gamma = PosetMap(P, {e: P.elements[i] for e, i in zip(P.elements, g)})
+    else:
         gamma = stabilize(phi)
         if not gamma.image() <= Qset:
             raise PosetError("the stabilized map leaves Q: its image is not Fix(phi)")
+        g = _int_table(P, gamma)
+    # Only elements outside Q are removed, so gamma maps every current
+    # subposet into Q inside it.  A restriction of a monotone map that is
+    # closed on its subposet is monotone, so this one check covers them all.
+    if not gamma.monotone:
+        raise PosetError("power of a monotone map must be monotone")
 
-    cur = P
-    table = gamma.table
+    builder = _IntervalBuilder(P, g)
+    cur = (1 << len(P)) - 1
+    rest = cur & ~qmask
     removed: list[str] = []
     witnesses: list[Witness] = []
-    while True:
-        rest = [e for e in cur.elements if e not in Qset]
-        if not rest:
-            break
-        x = rest[0]
-        cur_map = PosetMap(cur, {e: table[e] for e in cur.elements})
-        witnesses.append(interval_witness(cur, cur_map, x))
-        removed.append(x)
-        cur = cur.induced(set(cur.elements) - {x})
+    while rest:
+        bit = rest & -rest
+        x = bit.bit_length() - 1
+        witnesses.append(builder.interval(cur, x))
+        removed.append(P.elements[x])
+        cur ^= bit
+        rest ^= bit
     cert = NECertificate(tuple(removed), tuple(witnesses))
     collapse = certificate_to_collapse(order_complex(P), cert) if emit_collapse else None
     return ReductionReport(gamma, tuple(removed), cert, collapse)

@@ -8,8 +8,10 @@ import hypothesis.strategies as st
 
 from poset_collapse import (
     VOID,
+    PointWitness,
     Poset,
     SimplicialComplex,
+    SplitWitness,
     delete_vertex,
     link,
 )
@@ -24,6 +26,14 @@ def below_masks(P: Poset) -> tuple[int, ...]:
     for a, b in P.lt_pairs():
         masks[idx[b]] |= 1 << idx[a]
     return tuple(masks)
+
+
+def split_chain(n, along):
+    """A witness nested n splits deep along its links or its deletions."""
+    w = PointWitness("a")
+    for _ in range(n):
+        w = SplitWitness("a", w, PointWitness("b")) if along == "link" else SplitWitness("a", PointWitness("b"), w)
+    return w
 
 
 @st.composite

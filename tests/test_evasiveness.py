@@ -39,11 +39,45 @@ from poset_collapse import (
 from poset_collapse.complexes import _delete_m, _face, _link_m, _masks
 from poset_collapse.enumeration import complex_from_masks, iter_antichain_complexes
 
-from conftest import betti_equal, complexes, naive_nonevasive
+from conftest import betti_equal, complexes, naive_nonevasive, split_chain
 
 
 def boundary():
     return SimplicialComplex.simplex_boundary("abc")
+
+
+class TestWitnessDunders:
+    def test_repr_is_the_dataclass_text(self):
+        w = SplitWitness("a", PointWitness("b"), SplitWitness("c", PointWitness("d"), PointWitness("e")))
+        assert repr(w) == (
+            "SplitWitness(vertex='a', link=PointWitness(vertex='b'), deletion=SplitWitness("
+            "vertex='c', link=PointWitness(vertex='d'), deletion=PointWitness(vertex='e')))"
+        )
+
+    @pytest.mark.parametrize("along", ["link", "deletion"])
+    def test_5000_splits_at_the_default_recursion_limit(self, along):
+        u, w = split_chain(5000, along), split_chain(5000, along)
+        assert u == w and hash(u) == hash(w)
+        assert u != split_chain(4999, along) and u != PointWitness("a")
+        # built outward from the innermost point, as split_chain builds it
+        text = "PointWitness(vertex='a')"
+        for _ in range(5000):
+            pair = (text, "PointWitness(vertex='b')") if along == "link" else ("PointWitness(vertex='b')", text)
+            text = f"SplitWitness(vertex='a', link={pair[0]}, deletion={pair[1]})"
+        assert repr(u) == text
+
+    def test_shared_subtrees_are_compared_and_hashed_once(self):
+        # link and deletion are one object: 60 nodes spell a tree of 2^60
+        def dag(n):
+            w = PointWitness("a")
+            for i in range(n):
+                w = SplitWitness(str(i), w, w)
+            return w
+
+        u, w = dag(60), dag(60)
+        assert u == w and hash(u) == hash(w)
+        assert u != SplitWitness("59", u.link, dag(59).link)
+        assert {u, w} == {u}
 
 
 class TestIsNonevasive:

@@ -1,22 +1,35 @@
 """The reduction engine: interval witnesses and the main theorem procedure."""
 
+import itertools
+import sys
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 
 from poset_collapse import (
+    EVASIVE,
+    ComplexError,
     NECertificate,
     Poset,
     PosetError,
     PosetMap,
     SearchBudget,
+    PointWitness,
     SimplicialComplex,
+    SplitWitness,
+    certificate_to_collapse,
+    cone_witness,
     interval_witness,
+    is_nonevasive,
     join,
+    join_witness,
     link,
     order_complex,
     reduce_to_image,
     reduced_euler,
     search_ne_reduction,
+    stabilize,
     theorem_reduce,
     verify_collapse,
     verify_ne_certificate,
@@ -29,6 +42,7 @@ from poset_collapse.enumeration import (
     monotone_tables,
     poset_from_masks,
 )
+from poset_collapse.reduction import _IntervalBuilder
 
 from conftest import betti_equal, posets
 
@@ -213,3 +227,214 @@ class TestReductionProperties:
                 assert betti_equal(z2_betti(X), z2_betti(Y))
                 assert reduced_euler(X) == reduced_euler(Y)
                 assert set(report.removal_order) == set(P.elements) - Q
+
+
+# -- label-level reference for the element-mask builder --------------------------
+#
+# The interval construction as it ran on Poset and PosetMap objects: a new
+# PosetMap and induced Poset per removed element, induced posets and order
+# complexes per link, and `join_witness` with a fresh `cone_witness` per
+# point leaf.  The builder must return equal maps, orders, certificates and
+# collapses, and raise the same errors.
+
+
+def ref_greedy_decreasing(B, subset):
+    # decreasing linear extension of `subset` inside B: repeatedly take the
+    # label-least element that is maximal among the remaining ones
+    remaining = set(subset)
+    order = []
+    while remaining:
+        for e in sorted(remaining):
+            if not any(B.lt(e, o) for o in remaining):
+                order.append(e)
+                remaining.remove(e)
+                break
+    return order
+
+
+def ref_descending_witness(B, f, top):
+    target = B.down_set(top)
+    removable = [e for e in B.elements if e not in target]
+    if not removable:
+        return cone_witness(order_complex(B), top)
+    a = ref_greedy_decreasing(B, removable)[0]
+    below = B.induced(B.strictly_below(a))
+    wl = ref_descending_witness(below, f, f[a])
+    above = B.strictly_above(a)
+    if above:
+        wl = join_witness(order_complex(below), wl, order_complex(B.induced(above)))
+    deletion = B.induced(set(B.elements) - {a})
+    wd = ref_descending_witness(deletion, f, top)
+    return SplitWitness(a, wl, wd)
+
+
+def ref_interval_witness(P, phi, x):
+    if not phi.monotone:
+        raise PosetError("interval_witness requires a monotone map")
+    fx = phi(x)
+    if fx == x:
+        raise PosetError(f"{x!r} is a fixed point; its link needs no witness here")
+    below = P.strictly_below(x)
+    above = P.strictly_above(x)
+    if P.lt(fx, x):
+        B = P.induced(below)
+        w = ref_descending_witness(B, phi.table, fx)
+        if above:
+            w = join_witness(order_complex(B), w, order_complex(P.induced(above)))
+    else:
+        B = P.induced(above)
+        w = ref_descending_witness(B.dual(), phi.table, fx)
+        if below:
+            w = join_witness(order_complex(B), w, order_complex(P.induced(below)))
+    return w
+
+
+def ref_theorem_reduce(P, phi, Q, emit_collapse):
+    """(gamma, removal order, certificate, collapse) of the label-level loop;
+    the input checks are left to `theorem_reduce`."""
+    Qset = frozenset(Q)
+    gamma = phi.power(len(P) - len(Qset))
+    if not gamma.image() <= Qset:
+        gamma = stabilize(phi)
+    cur = P
+    table = gamma.table
+    removed, witnesses = [], []
+    while True:
+        rest = [e for e in cur.elements if e not in Qset]
+        if not rest:
+            break
+        x = rest[0]
+        cur_map = PosetMap(cur, {e: table[e] for e in cur.elements})
+        witnesses.append(ref_interval_witness(cur, cur_map, x))
+        removed.append(x)
+        cur = cur.induced(set(cur.elements) - {x})
+    cert = NECertificate(tuple(removed), tuple(witnesses))
+    collapse = certificate_to_collapse(order_complex(P), cert) if emit_collapse else None
+    return gamma, tuple(removed), cert, collapse
+
+
+def grid(k, d):
+    """[k]^d with x -> min(x, 1) coordinatewise."""
+    pts = list(itertools.product(range(k), repeat=d))
+    label = {p: "".join(map(str, p)) for p in pts}
+    covers = [(label[p], label[p[:i] + (p[i] + 1,) + p[i + 1:]])
+              for p in pts for i in range(d) if p[i] + 1 < k]
+    P = Poset(label.values(), covers)
+    return P, PosetMap(P, {label[p]: label[tuple(min(x, 1) for x in p)] for p in pts})
+
+
+def fallback_subset(phi):
+    """A Q = Fix + {y} on which phi^{|P - Q|} leaves Q, or None."""
+    fixed = phi.fixed_points()
+    for y in sorted(set(phi.domain.elements) - fixed):
+        Q = fixed | {y}
+        if not phi.power(len(phi.domain) - len(Q)).image() <= Q:
+            return Q
+    return None
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (PosetError, ValueError) as e:
+        return type(e), str(e)
+
+
+class TestBuilderMatchesLabelReference:
+    def assert_same(self, P, phi, Q, emit_collapse):
+        report = theorem_reduce(P, phi, Q, emit_collapse=emit_collapse)
+        got = (report.gamma, report.removal_order, report.certificate, report.collapse)
+        assert got == ref_theorem_reduce(P, phi, Q, emit_collapse)
+
+    def test_every_monotone_map_on_four_elements(self):
+        runs = fallbacks = 0
+        for n in range(1, 5):
+            for below in iter_posets(n):
+                P = poset_from_masks(below)
+                for table in monotone_tables(below):
+                    phi = map_from_table(P, table)
+                    Q_fb = fallback_subset(phi)
+                    for Q in (phi.fixed_points(), phi.image(), Q_fb):
+                        if Q is not None:
+                            self.assert_same(P, phi, Q, emit_collapse=True)
+                            runs += 1
+                    fallbacks += Q_fb is not None
+                    # the public entry on the unstabilized map, errors included
+                    for x in P.elements:
+                        assert outcome(interval_witness, P, phi, x) == outcome(ref_interval_witness, P, phi, x)
+        # 2,810 monotone maps, each reduced to Fix and to the image, and 300
+        # of them also to a subset that forces the stabilize fallback
+        assert (runs, fallbacks) == (5920, 300)
+
+    @pytest.mark.parametrize("k, d", [(3, 2), (4, 2), (2, 3)])
+    def test_grids_with_collapse(self, k, d):
+        P, phi = grid(k, d)
+        for Q in (phi.fixed_points(), phi.image()):
+            self.assert_same(P, phi, Q, emit_collapse=True)
+
+
+class TestWorkGuard:
+    def test_grid_reduction_builds_one_map_and_one_order_complex(self, monkeypatch):
+        P, phi = grid(4, 2)
+        Q = phi.fixed_points()
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(PosetMap, "__init__", counting("PosetMap", PosetMap.__init__))
+        monkeypatch.setattr(Poset, "induced", counting("induced", Poset.induced))
+        wrapped = counting("order_complex", order_complex)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("poset_collapse") and getattr(module, "order_complex", None) is order_complex:
+                monkeypatch.setattr(module, "order_complex", wrapped)
+        report = theorem_reduce(P, phi, Q, emit_collapse=True)
+        assert (calls["PosetMap"], calls["induced"], calls["order_complex"]) == (1, 0, 1)
+        assert len(report.collapse) == 498
+
+
+def labels_of(P, S):
+    return {e for i, e in enumerate(P.elements) if S >> i & 1}
+
+
+class TestBuilderOnOrderComplexes:
+    """Links and deletions of Delta(S) as masks: the cones and the replay
+    agree with `cone_witness` and `verify_witness` on the order complexes."""
+
+    def test_cones_and_replay_on_every_subposet(self):
+        checked = 0
+        for n in range(1, 5):
+            for below in iter_posets(n):
+                P = poset_from_masks(below)
+                builder = _IntervalBuilder(P, range(n))
+                subsets = range(1, 1 << n)
+                pool = [is_nonevasive(order_complex(P.induced(labels_of(P, T)))) for T in subsets]
+                pool = [w for w in pool if w is not EVASIVE]
+                pool += [PointWitness("z"), SplitWitness("z", PointWitness("a"), PointWitness("a"))]
+                for S in subsets:
+                    X = order_complex(P.induced(labels_of(P, S)))
+                    for apex in range(n):
+                        expected = outcome(cone_witness, X, P.elements[apex])
+                        assert outcome(builder.cone, S, apex) == expected
+                    for w in pool:
+                        assert builder._holds(S, w) == verify_witness(X, w)
+                        checked += 1
+        assert checked > 10_000
+
+    def test_kept_checks_raise_as_the_object_steps_did(self):
+        P = b2()  # elements 0, 1, 12, 2
+        builder = _IntervalBuilder(P, range(4))
+        down, up = P._below, P._above
+        with pytest.raises(PosetError, match="^unknown element '12'$"):
+            builder.descending(0b0011, 2, down, up)
+        with pytest.raises(PosetError, match="^unknown element '12'$"):
+            P.induced({"0", "1"}).down_set("12")
+        with pytest.raises(ComplexError, match="^input witness does not verify$"):
+            builder.join(0b0001, PointWitness("1"), 0b0100)
+        with pytest.raises(ComplexError, match="^input witness does not verify$"):
+            join_witness(order_complex(P.induced({"0"})), PointWitness("1"), order_complex(P.induced({"12"})))
+        with pytest.raises(ComplexError, match="^join requires disjoint vertex labels$"):
+            builder.join(0b0011, PointWitness("1"), 0b0010)

@@ -21,7 +21,9 @@ from poset_collapse import (
     is_nonevasive,
 )
 from poset_collapse import serialization as ser
-from poset_collapse.evasiveness import PointWitness, SplitWitness
+from poset_collapse.evasiveness import SplitWitness
+
+from conftest import split_chain
 
 
 def b2():
@@ -104,14 +106,6 @@ json_trees = st.recursive(
     ),
     max_leaves=40,
 )
-
-
-def split_chain(n, along):
-    """A witness nested n splits deep along its links or its deletions."""
-    w = PointWitness("a")
-    for _ in range(n):
-        w = SplitWitness("a", w, PointWitness("b")) if along == "link" else SplitWitness("a", PointWitness("b"), w)
-    return w
 
 
 def same_witness(u, w) -> bool:
