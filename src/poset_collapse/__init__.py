@@ -55,13 +55,10 @@ from .evasiveness import (
 )
 from .mobius import CrapoCheck, HallCheck, MobiusTable, crapo_check, hall_check, mobius_table
 from .poset import (
-    MapFlags,
     Poset,
     PosetError,
     PosetMap,
-    classify_map,
     decompose_monotone,
-    fixed_points,
     open_interval,
     stabilize,
     stable_preimage,

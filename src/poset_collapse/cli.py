@@ -2,8 +2,10 @@
 
 Exit codes: 0 success/verified, 1 not-found/not-verified/inequality,
 2 malformed input or an `--output` path that cannot be written, 3 budget
-exceeded.  Outputs are JSON, byte-stable for a fixed input and seed; the seed
-is recorded in every structured output.
+exceeded, 4 internal error (a bug in this package, reported on stderr as
+`internal error: <type>: <message>` without a traceback).  Outputs are JSON,
+byte-stable for a fixed input and seed; the seed is recorded in every
+structured output.
 """
 
 from __future__ import annotations
@@ -40,13 +42,18 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _budget(args) -> SearchBudget:
     nodes = args.budget_nodes
     if nodes is None:
-        env = os.environ.get("POSET_COLLAPSE_BUDGET")
-        nodes = int(env) if env else 1_000_000
+        env = os.environ.get("POSET_COLLAPSE_BUDGET") or "1000000"
+        if not env.isdigit() or int(env) == 0:
+            raise ser.InputError(f"POSET_COLLAPSE_BUDGET must be a positive integer, got {env!r}")
+        nodes = int(env)
+    if nodes <= 0 or args.budget_vertices <= 0:
+        raise ser.InputError("--budget-nodes and --budget-vertices must be positive")
     return SearchBudget(max_vertices=args.budget_vertices, max_nodes=nodes)
 
 
@@ -342,9 +349,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ser.InputError, PosetError, ComplexError, ValueError) as e:
+    except (ser.InputError, PosetError, ComplexError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -3,11 +3,12 @@
 Labeled posets on n elements are streamed as tuples of bitmasks
 (below[i] = mask of elements strictly below i) by inserting element k into
 every poset on k-1 elements via a (down-set, up-set) choice; each labeled
-poset arises exactly once.  Self-map tables are tuples of target indices.
-These raw forms exist so that desk-scale exhaustive suites (millions of
-instances) stay affordable; converters produce the real Poset/PosetMap
-objects, and the table-level helpers are cross-checked against the public
-operations in the test suite.
+poset arises exactly once.  Self-map tables are tuples of target indices:
+the int tables that `PosetMap` holds, so `map_from_table` wraps a table
+without building a label dict, and `stabilize_table` runs the power kernel
+behind `PosetMap.power` and `stabilize`.  These raw forms keep desk-scale
+exhaustive suites (millions of instances) affordable; the test suite checks
+them against label-level references of its own.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from itertools import combinations, permutations, product
 from typing import Iterator
 
 from .complexes import SimplicialComplex
-from .poset import Poset, PosetMap
+from .poset import Poset, PosetError, PosetMap, _table_power
+from .poset import _above_masks as above_masks
 
 LABELS = "abcdefghij"
 
@@ -32,13 +34,7 @@ def iter_posets(n: int) -> Iterator[tuple[int, ...]]:
     for below in iter_posets(n - 1):
         k = n - 1
         full = (1 << k) - 1
-        above = [0] * k
-        for i in range(k):
-            m = below[i]
-            while m:
-                j = (m & -m).bit_length() - 1
-                above[j] |= 1 << i
-                m &= m - 1
+        above = above_masks(below)
         downsets = [
             S for S in range(full + 1)
             if all(not (S >> i & 1) or not (below[i] & ~S) for i in range(k))
@@ -65,18 +61,6 @@ def iter_posets(n: int) -> Iterator[tuple[int, ...]]:
                     m &= m - 1
                 nb.append(D)
                 yield tuple(nb)
-
-
-def above_masks(below: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(below)
-    above = [0] * n
-    for i in range(n):
-        m = below[i]
-        while m:
-            j = (m & -m).bit_length() - 1
-            above[j] |= 1 << i
-            m &= m - 1
-    return tuple(above)
 
 
 # -- self-map tables --------------------------------------------------------------
@@ -138,16 +122,8 @@ def decreasing_tables(below: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 def stabilize_table(table: tuple[int, ...]) -> tuple[int, ...]:
-    """table^|P| by iterated composition, with the same early fixpoint cut
-    as the object-level stabilize."""
-    n = len(table)
-    g = tuple(range(n))
-    for _ in range(n):
-        nxt = tuple(table[g[i]] for i in range(n))
-        if nxt == g:
-            break
-        g = nxt
-    return g
+    """table^|P|, by the power kernel behind `stabilize`."""
+    return _table_power(table, len(table))
 
 
 def table_fixed_mask(table: tuple[int, ...]) -> int:
@@ -262,8 +238,13 @@ def poset_from_masks(below: tuple[int, ...], labels: str = LABELS) -> Poset:
 
 
 def map_from_table(P: Poset, table: tuple[int, ...]) -> PosetMap:
-    elems = P.elements
-    return PosetMap(P, {elems[i]: elems[v] for i, v in enumerate(table)})
+    """The map with this int table over P's sorted elements; no label dict
+    is built."""
+    t = tuple(table)
+    n = len(P)
+    if len(t) != n or not all(0 <= v < n for v in t):
+        raise PosetError(f"not a self-map table on {n} elements: {t}")
+    return PosetMap._from_table(P, t)
 
 
 def complex_from_masks(facet_masks, labels: str = LABELS) -> SimplicialComplex:

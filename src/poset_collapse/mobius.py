@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .complexes import order_complex, reduced_euler
-from .poset import Poset, PosetError, PosetMap, stabilize
+from .poset import Poset, PosetError, PosetMap, stable_preimage
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,8 @@ def crapo_check(P: Poset, phi: PosetMap, Q: Iterable[str]) -> CrapoCheck:
     mu_Q(0,1) over the induced order on Q when the bottom is fixed, else 0.
     Inequality would mean a bug or a precondition breach, never new math.
     """
+    if phi.domain != P:
+        raise PosetError("the map's domain is not P")
     bottom, top = P.minimum(), P.maximum()
     if bottom is None or top is None or len(P) < 2:
         raise PosetError("crapo_check needs a bounded poset (missing 0-hat or 1-hat)")
@@ -88,8 +90,7 @@ def crapo_check(P: Poset, phi: PosetMap, Q: Iterable[str]) -> CrapoCheck:
     fix = phi.fixed_points()
     if not fix <= Qset:
         raise PosetError("precondition fix-not-in-Q: Q must contain Fix(phi)")
-    gamma = stabilize(phi)
-    preimage_top = frozenset(z for z in P.elements if gamma.table[z] == top)
+    preimage_top = stable_preimage(phi, top)
     if Qset & preimage_top != {top}:
         raise PosetError(
             "precondition Q-meets-preimage: Q may meet the stable preimage of "

@@ -4,11 +4,16 @@ Posets are immutable: elements are opaque string labels with a fixed total
 (lexicographic) order used only for deterministic iteration and tie-breaking,
 never as poset structure.  The strict order is stored transitively closed as
 per-element bitmasks over the sorted label tuple.
+
+A self-map is an int table over the same sorted tuple, classified once from
+the bitmask rows when the map is built.  Composition, powers and
+stabilization work on tables; powers go through one kernel, `_table_power`,
+which stops at the first fixpoint.  Label dicts appear only at the edges: a
+`PosetMap` built from caller input, and its `table` view.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 
@@ -25,6 +30,17 @@ def _close_masks(below: list[int], n: int) -> list[int]:
             if below[i] & kbit:
                 below[i] |= bk
     return below
+
+
+def _above_masks(below) -> tuple[int, ...]:
+    """Transpose of bitmask rows: above[j] has bit i iff below[i] has bit j."""
+    above = [0] * len(below)
+    for i, m in enumerate(below):
+        while m:
+            j = (m & -m).bit_length() - 1
+            above[j] |= 1 << i
+            m &= m - 1
+    return tuple(above)
 
 
 class Poset:
@@ -55,19 +71,8 @@ class Poset:
         self.elements = elems
         self._index = index if index is not None else {e: i for i, e in enumerate(elems)}
         self._below = below
-        above = [0] * len(elems)
-        for i, m in enumerate(below):
-            while m:
-                j = (m & -m).bit_length() - 1
-                above[j] |= 1 << i
-                m &= m - 1
-        self._above = tuple(above)
+        self._above = _above_masks(below)
         self._hash = hash((elems, below))
-
-    @classmethod
-    def from_covers(cls, elements: Iterable[str], covers: Iterable[tuple[str, str]]) -> "Poset":
-        """Hasse-style input: cover relations, closed transitively on load."""
-        return cls(elements, covers)
 
     @classmethod
     def _from_closed(cls, elements: tuple[str, ...], below: tuple[int, ...]) -> "Poset":
@@ -248,121 +253,133 @@ class Poset:
 # -- poset maps --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MapFlags:
-    """Classification of a poset self-map."""
-
-    order_preserving: bool
-    monotone: bool
-    increasing: bool
-    decreasing: bool
+def _table_power(t: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """t^k for a self-map table t; stops once t∘g == g, since every later
+    power is then g."""
+    g = tuple(range(len(t)))
+    for _ in range(k):
+        nxt = tuple([t[i] for i in g])
+        if nxt == g:
+            break
+        g = nxt
+    return g
 
 
 class PosetMap:
     """Total self-map of a poset, classified on construction.
 
+    The map is an int table over `domain.elements`: `_t[i]` is the index of
+    the image of element i.  `table` is its label view.
+
     `monotone` means order-preserving with every x comparable to its image;
     `increasing`/`decreasing` mean x <= f(x) / x >= f(x) throughout.
     """
 
-    __slots__ = ("domain", "table", "order_preserving", "monotone", "increasing",
-                 "decreasing", "_ftuple")
+    __slots__ = ("domain", "_t", "order_preserving", "monotone", "increasing", "decreasing")
 
     def __init__(self, domain: Poset, mapping: Mapping[str, str]):
         elems = domain.elements
         missing = [e for e in elems if e not in mapping]
         if missing:
             raise PosetError(f"map is not total: missing {missing[0]!r}")
-        table = {}
+        index = domain._index
+        t = []
         for e in elems:
             v = mapping[e]
-            if v not in domain:
+            if v not in index:
                 raise PosetError(f"map sends {e!r} outside the poset: {v!r}")
-            table[e] = v
-        self.domain = domain
-        self.table = table
-        self._ftuple = tuple(table[e] for e in elems)
-        idx = domain._index
+            t.append(index[v])
+        if len(mapping) != len(elems):
+            unknown = next(k for k in mapping if k not in index)
+            raise PosetError(f"map has a key outside the poset: {unknown!r}")
+        self._init_table(domain, tuple(t))
+
+    @classmethod
+    def _from_table(cls, domain: Poset, t: tuple[int, ...]) -> "PosetMap":
+        # Trusted path: `t` is a valid int table over domain.elements.
+        self = object.__new__(cls)
+        self._init_table(domain, t)
+        return self
+
+    def _init_table(self, domain: Poset, t: tuple[int, ...]) -> None:
         below = domain._below
         op = True
-        for i, e in enumerate(elems):
-            m = below[i]
-            fi = idx[table[e]]
-            while m:
-                j = (m & -m).bit_length() - 1
+        for i, m in enumerate(below):
+            # order-preserving: every j below i maps to at most t[i]
+            at_most = below[t[i]] | 1 << t[i]
+            while op and m:
+                op = at_most >> t[(m & -m).bit_length() - 1] & 1 == 1
                 m &= m - 1
-                fj = idx[table[elems[j]]]
-                if fj != fi and not (below[fi] >> fj & 1):
-                    op = False
+        inc = dec = mono = op
+        if op:
+            for i, v in enumerate(t):
+                if v == i:
+                    continue
+                if below[v] >> i & 1:
+                    dec = False
+                elif below[i] >> v & 1:
+                    inc = False
+                else:
+                    inc = dec = mono = False
                     break
-            if not op:
-                break
-        inc = op and all(domain.leq(e, table[e]) for e in elems)
-        dec = op and all(domain.leq(table[e], e) for e in elems)
-        mono = op and all(domain.comparable(e, table[e]) for e in elems)
+        self.domain = domain
+        self._t = t
         self.order_preserving = op
         self.monotone = mono
         self.increasing = inc
         self.decreasing = dec
 
+    @property
+    def table(self) -> dict[str, str]:
+        """The map as a new label dict."""
+        elems = self.domain.elements
+        return {e: elems[v] for e, v in zip(elems, self._t)}
+
     def __call__(self, x: str) -> str:
-        try:
-            return self.table[x]
-        except KeyError:
-            raise PosetError(f"unknown element {x!r}") from None
+        return self.domain.elements[self._t[self.domain._check(x)]]
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PosetMap)
             and self.domain == other.domain
-            and self._ftuple == other._ftuple
+            and self._t == other._t
         )
 
     def __hash__(self) -> int:
-        return hash((self.domain, self._ftuple))
+        return hash((self.domain, self._t))
 
     def __repr__(self) -> str:
         return f"PosetMap({self.table})"
 
-    def flags(self) -> MapFlags:
-        return MapFlags(self.order_preserving, self.monotone, self.increasing, self.decreasing)
-
     def is_identity(self) -> bool:
-        return all(v == e for e, v in self.table.items())
+        return all(v == i for i, v in enumerate(self._t))
 
     def compose(self, other: "PosetMap") -> "PosetMap":
         """self after other (self ∘ other)."""
         if self.domain != other.domain:
             raise PosetError("composition requires a common domain")
-        return PosetMap(self.domain, {e: self.table[other.table[e]] for e in self.domain})
+        t = self._t
+        return PosetMap._from_table(self.domain, tuple([t[v] for v in other._t]))
 
     def power(self, k: int) -> "PosetMap":
         if k < 0:
             raise PosetError("negative power")
-        result = PosetMap(self.domain, {e: e for e in self.domain})
-        for _ in range(k):
-            result = self.compose(result)
-        return result
-
-    def restrict(self, labels: Iterable[str]) -> "PosetMap":
-        """Restriction to an induced subposet; the image must stay inside."""
-        sub = self.domain.induced(labels)
-        for e in sub.elements:
-            if self.table[e] not in sub:
-                raise PosetError(f"restriction is not closed: {e!r} maps to {self.table[e]!r}")
-        return PosetMap(sub, {e: self.table[e] for e in sub.elements})
+        return PosetMap._from_table(self.domain, _table_power(self._t, k))
 
     def fixed_points(self) -> frozenset[str]:
-        return frozenset(e for e, v in self.table.items() if e == v)
+        elems = self.domain.elements
+        return frozenset(elems[i] for i, v in enumerate(self._t) if i == v)
 
     def image(self) -> frozenset[str]:
-        return frozenset(self.table.values())
+        elems = self.domain.elements
+        return frozenset(elems[v] for v in self._t)
 
     def non_monotone_witness(self) -> str | None:
         """An element incomparable to its image, if any."""
-        for e in self.domain.elements:
-            if not self.domain.comparable(e, self.table[e]):
-                return e
+        P = self.domain
+        for i, v in enumerate(self._t):
+            if not (P._below[i] | P._above[i] | 1 << i) >> v & 1:
+                return P.elements[i]
         return None
 
 
@@ -378,14 +395,6 @@ def open_interval(P: Poset, x: str, side: str) -> Poset:
     raise PosetError(f"side must be 'below' or 'above', got {side!r}")
 
 
-def classify_map(P: Poset, mapping: Mapping[str, str]) -> MapFlags:
-    return PosetMap(P, mapping).flags()
-
-
-def fixed_points(phi: PosetMap) -> frozenset[str]:
-    return phi.fixed_points()
-
-
 def decompose_monotone(phi: PosetMap) -> tuple[PosetMap, PosetMap]:
     """Split a monotone map as alpha∘beta with alpha increasing, beta decreasing,
     and every element fixed by at least one of the two.
@@ -398,15 +407,18 @@ def decompose_monotone(phi: PosetMap) -> tuple[PosetMap, PosetMap]:
     if not phi.monotone:
         raise PosetError("decompose_monotone requires a monotone map")
     P = phi.domain
-    alpha = {x: phi.table[x] if P.lt(x, phi.table[x]) else x for x in P}
-    beta = {x: phi.table[x] if P.lt(phi.table[x], x) else x for x in P}
-    a = PosetMap(P, alpha)
-    b = PosetMap(P, beta)
+    t = phi._t
+    below = P._below
+    # alpha carries x where phi moves it up, beta where phi moves it down
+    alpha = tuple(v if below[v] >> i & 1 else i for i, v in enumerate(t))
+    beta = tuple(v if below[i] >> v & 1 else i for i, v in enumerate(t))
+    a = PosetMap._from_table(P, alpha)
+    b = PosetMap._from_table(P, beta)
     if not a.increasing or not b.decreasing:
         raise PosetError("decomposition failed monotone-part classification")
-    if any(a.table[b.table[x]] != phi.table[x] for x in P):
+    if any(alpha[beta[i]] != v for i, v in enumerate(t)):
         raise PosetError("decomposition does not compose back to the map")
-    if a.fixed_points() | b.fixed_points() != frozenset(P.elements):
+    if any(alpha[i] != i and beta[i] != i for i in range(len(t))):
         raise PosetError("decomposition leaves an element moved by both parts")
     return a, b
 
@@ -415,12 +427,7 @@ def stabilize(phi: PosetMap) -> PosetMap:
     """phi^{|P|}; short-circuits once phi^{k+1} = phi^k (same result)."""
     if not phi.order_preserving:
         raise PosetError("stabilize requires an order-preserving map")
-    result = phi.power(0)
-    for _ in range(len(phi.domain)):
-        nxt = phi.compose(result)
-        if nxt == result:
-            break
-        result = nxt
+    result = PosetMap._from_table(phi.domain, _table_power(phi._t, len(phi.domain)))
     if phi.monotone and not result.monotone:
         raise PosetError("power of a monotone map must be monotone")
     return result
@@ -430,5 +437,6 @@ def stable_preimage(phi: PosetMap, z: str) -> frozenset[str]:
     """Elements sent to z by the stabilized map."""
     if z not in phi.domain:
         raise PosetError(f"unknown element {z!r}")
-    stab = stabilize(phi)
-    return frozenset(x for x in phi.domain if stab.table[x] == z)
+    zi = phi.domain._index[z]
+    elems = phi.domain.elements
+    return frozenset(elems[i] for i, v in enumerate(stabilize(phi)._t) if v == zi)

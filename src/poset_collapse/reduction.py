@@ -29,7 +29,7 @@ from typing import Iterable, Optional, Sequence
 from .collapse import CollapseSequence, certificate_to_collapse
 from .complexes import ComplexError, order_complex
 from .evasiveness import NECertificate, PointWitness, SplitWitness, Witness
-from .poset import Poset, PosetError, PosetMap, stabilize
+from .poset import Poset, PosetError, PosetMap, _table_power, stabilize
 
 
 @dataclass(frozen=True)
@@ -178,19 +178,17 @@ class _IntervalBuilder:
         return True
 
 
-def _int_table(P: Poset, phi: PosetMap) -> list[int]:
-    return [P._check(phi(e)) for e in P.elements]
-
-
 def interval_witness(P: Poset, phi: PosetMap, x: str) -> Witness:
     """Witness that Delta(P_<x) * Delta(P_>x) — the link of x in Delta(P) — is
     nonevasive, provided the monotone map moves x."""
+    if phi.domain != P:
+        raise PosetError("the map's domain is not P")
     if not phi.monotone:
         raise PosetError("interval_witness requires a monotone map")
     fx = phi(x)
     if fx == x:
         raise PosetError(f"{x!r} is a fixed point; its link needs no witness here")
-    builder = _IntervalBuilder(P, _int_table(P, phi))
+    builder = _IntervalBuilder(P, phi._t)
     return builder.interval((1 << len(P)) - 1, P._check(x))
 
 
@@ -210,6 +208,8 @@ def theorem_reduce(
     """
     if len(P) == 0:
         raise PosetError("cannot reduce over an empty poset")
+    if phi.domain != P:
+        raise PosetError("the map's domain is not P")
     if not phi.monotone:
         raise PosetError("theorem_reduce requires a monotone map")
     Qset = frozenset(Q)
@@ -218,20 +218,17 @@ def theorem_reduce(
         raise PosetError(f"Q contains unknown elements: {sorted(unknown)}")
     if not phi.fixed_points() <= Qset:
         raise PosetError("Q must contain every fixed point of the map")
-    f = _int_table(P, phi)
-    g = list(range(len(P)))
-    for _ in range(len(P) - len(Qset)):
-        g = [f[i] for i in g]
+    g = _table_power(phi._t, len(P) - len(Qset))
     qmask = 0
     for e in Qset:
         qmask |= 1 << P._index[e]
     if all(qmask >> i & 1 for i in g):
-        gamma = PosetMap(P, {e: P.elements[i] for e, i in zip(P.elements, g)})
+        gamma = PosetMap._from_table(P, g)
     else:
         gamma = stabilize(phi)
         if not gamma.image() <= Qset:
             raise PosetError("the stabilized map leaves Q: its image is not Fix(phi)")
-        g = _int_table(P, gamma)
+        g = gamma._t
     # Only elements outside Q are removed, so gamma maps every current
     # subposet into Q inside it.  A restriction of a monotone map that is
     # closed on its subposet is monotone, so this one check covers them all.

@@ -28,6 +28,36 @@ def below_masks(P: Poset) -> tuple[int, ...]:
     return tuple(masks)
 
 
+def ref_classify(P: Poset, mapping) -> tuple[bool, bool, bool, bool]:
+    """(order_preserving, monotone, increasing, decreasing) of a total
+    self-map given as a label dict, by label-level `leq`/`comparable` calls;
+    independent of the int-table classifier in `PosetMap`."""
+    op = all(P.leq(mapping[a], mapping[b]) for a, b in P.lt_pairs())
+    return (
+        op,
+        op and all(P.comparable(e, mapping[e]) for e in P.elements),
+        op and all(P.leq(e, mapping[e]) for e in P.elements),
+        op and all(P.leq(mapping[e], e) for e in P.elements),
+    )
+
+
+def map_flags(phi) -> tuple[bool, bool, bool, bool]:
+    return (phi.order_preserving, phi.monotone, phi.increasing, phi.decreasing)
+
+
+def power_table(t: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """t^k by k plain compositions, without the early fixpoint cut."""
+    g = tuple(range(len(t)))
+    for _ in range(k):
+        g = tuple(t[i] for i in g)
+    return g
+
+
+def label_table(P: Poset, t: tuple[int, ...]) -> dict:
+    """The label dict of an int table over P's sorted elements."""
+    return {e: P.elements[v] for e, v in zip(P.elements, t)}
+
+
 def split_chain(n, along):
     """A witness nested n splits deep along its links or its deletions."""
     w = PointWitness("a")

@@ -55,7 +55,7 @@ from poset_collapse.enumeration import (
     table_image_mask,
 )
 
-from conftest import betti_equal, naive_nonevasive
+from conftest import betti_equal, naive_nonevasive, power_table
 
 pytestmark = pytest.mark.acceptance
 
@@ -70,13 +70,6 @@ CRAPO_INSTANCES = {2: 4, 3: 36, 4: 684, 5: 23640, 6: 1370070}
 
 def _report(num: int, detail: str):
     print(f"\ncriterion {num}: PASS — {detail}")
-
-
-def _power_table(t: tuple[int, ...], k: int) -> tuple[int, ...]:
-    g = tuple(range(len(t)))
-    for _ in range(k):
-        g = tuple(t[i] for i in g)
-    return g
 
 
 def _bounded(below: tuple[int, ...]) -> bool:
@@ -214,7 +207,7 @@ def test_criterion_3_reduction_suite():
                 fixm = table_fixed_mask(table)
                 imgm = table_image_mask(table)
                 for Qm in (fixm, imgm):
-                    gamma_used = _power_table(table, n - bin(Qm).count("1"))
+                    gamma_used = power_table(table, n - bin(Qm).count("1"))
                     best = None
                     for p in auts:
                         ng = [0] * n
@@ -273,7 +266,7 @@ def test_criterion_3_reduction_suite():
                 for Qm in (fixm, imgm):
                     labeled_instances += 1
                     if labeled_instances % 16 == 0:
-                        gamma_used = _power_table(table, n - bin(Qm).count("1"))
+                        gamma_used = power_table(table, n - bin(Qm).count("1"))
                         assert table_image_mask(gamma_used) & ~Qm == 0  # no fallback needed
                         best = None
                         for p in perms:
@@ -304,7 +297,7 @@ def test_criterion_3_reduction_suite():
         phi = map_from_table(P, table)
         Q = frozenset(P.elements[i] for i in range(n) if Qm >> i & 1)
         report = theorem_reduce(P, phi, Q, emit_collapse=True)
-        gamma_used = _power_table(table, n - bin(Qm).count("1"))
+        gamma_used = power_table(table, n - bin(Qm).count("1"))
         assert report.gamma.table == {
             P.elements[i]: P.elements[gamma_used[i]] for i in range(n)
         }

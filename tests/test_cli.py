@@ -349,3 +349,49 @@ class TestHygiene:
         monkeypatch.setenv("POSET_COLLAPSE_BUDGET", "2")
         code, out, _ = run(["nonevasive", "--complex", cx], capsys)
         assert code == 3
+
+    def test_unknown_map_key_is_exit_2(self, files, capsys):
+        tmp, write = files
+        poset = write("b2.json", B2)
+        mapf = write("typo.json", {"map": dict(CLOSURE["map"], zzz="0")})
+        code, out, err = run(["classify-map", "--poset", poset, "--map", mapf], capsys)
+        assert code == 2
+        assert err == "error: map has a key outside the poset: 'zzz'\n" and out == ""
+
+    @pytest.mark.parametrize("flags", [["--budget-nodes", "0"], ["--budget-vertices", "-1"]])
+    def test_non_positive_budget_is_exit_2(self, files, capsys, flags):
+        tmp, write = files
+        cx = write("edge.json", {"facets": [["a", "b"]]})
+        code, out, err = run(["nonevasive", "--complex", cx] + flags, capsys)
+        assert code == 2
+        assert err == "error: --budget-nodes and --budget-vertices must be positive\n" and out == ""
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5"])
+    def test_bad_env_budget_is_exit_2(self, files, capsys, monkeypatch, value):
+        tmp, write = files
+        cx = write("edge.json", {"facets": [["a", "b"]]})
+        monkeypatch.setenv("POSET_COLLAPSE_BUDGET", value)
+        code, out, err = run(["nonevasive", "--complex", cx], capsys)
+        assert code == 2
+        assert err == f"error: POSET_COLLAPSE_BUDGET must be a positive integer, got {value!r}\n"
+        assert out == ""
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize(
+        "exc, shown",
+        [(ValueError("boom"), "ValueError: boom"), (KeyError("x"), "KeyError: 'x'")],
+    )
+    def test_internal_error_is_exit_4_without_traceback(self, files, capsys, monkeypatch, exc, shown):
+        # a bug is not the user's fault: not exit 2, and no traceback
+        import poset_collapse.cli as cli
+
+        def broken(args):
+            raise exc
+
+        tmp, write = files
+        poset = write("b2.json", B2)
+        monkeypatch.setattr(cli, "cmd_order_complex", broken)
+        code, out, err = run(["order-complex", "--poset", poset], capsys)
+        assert code == 4
+        assert err == f"internal error: {shown}\n" and out == ""

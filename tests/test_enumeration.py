@@ -1,12 +1,13 @@
 """The bitmask enumeration cores against published counts and the object API."""
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 
+import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from poset_collapse import Poset, PosetMap, stabilize
+from poset_collapse import Poset, PosetError, PosetMap, stabilize
 from poset_collapse.enumeration import (
     LABELS,
     apply_perm,
@@ -24,7 +25,7 @@ from poset_collapse.enumeration import (
     table_image_mask,
 )
 
-from conftest import below_masks
+from conftest import below_masks, label_table, map_flags, power_table, ref_classify
 
 LABELED_POSET_COUNTS = {0: 1, 1: 1, 2: 3, 3: 19, 4: 219, 5: 4231}
 UNLABELED_POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63}
@@ -68,37 +69,58 @@ def test_canonical_perms_are_exactly_the_optimal_ones():
         assert sorted(perms) == sorted(brute)
 
 
-def test_map_streams_match_object_level_classification():
-    from itertools import product
-
+def test_maps_match_the_label_reference_and_the_streams():
+    # every self-map on at most 3 elements: the int-table classifier, powers
+    # and stabilize against the label-level reference in conftest, and the
+    # three table streams against the reference's flags
     for n in range(1, 4):
         for below in iter_posets(n):
             P = poset_from_masks(below)
-            mono = set()
-            inc = set()
-            dec = set()
+            mono, inc, dec = set(), set(), set()
             for values in product(range(n), repeat=n):
-                phi = PosetMap(P, {P.elements[i]: P.elements[v] for i, v in enumerate(values)})
-                if phi.monotone:
+                mapping = label_table(P, values)
+                phi = PosetMap(P, mapping)
+                ref = ref_classify(P, mapping)
+                assert map_flags(phi) == ref
+                assert map_from_table(P, values) == phi
+                assert map_flags(map_from_table(P, values)) == ref
+                for k in (0, 1, 2, 5):
+                    power = phi.power(k)
+                    assert power.table == label_table(P, power_table(values, k))
+                    assert map_flags(power) == ref_classify(P, power.table)
+                if phi.order_preserving:
+                    assert stabilize(phi).table == label_table(P, power_table(values, n))
+                if ref[1]:
                     mono.add(values)
-                if phi.increasing:
+                if ref[2]:
                     inc.add(values)
-                if phi.decreasing:
+                if ref[3]:
                     dec.add(values)
             assert set(monotone_tables(below)) == mono
             assert set(increasing_tables(below)) == inc
             assert set(decreasing_tables(below)) == dec
 
 
+def test_map_from_table_rejects_a_bad_table():
+    P = poset_from_masks((0, 1, 3))
+    for bad in [(-1, 1, 2), (3, 1, 2), (0, 1), (0, 1, 2, 2)]:
+        with pytest.raises(PosetError, match="^not a self-map table on 3 elements"):
+            map_from_table(P, bad)
+
+
 def test_table_stabilization_matches_object_stabilize():
+    # every monotone map on at most 4 elements, against plain composition
     for n in range(1, 5):
         for below in iter_posets(n):
             P = poset_from_masks(below)
             for table in monotone_tables(below):
                 phi = map_from_table(P, table)
-                stab = stabilize(phi)
-                stab_table = tuple(P.elements.index(stab.table[e]) for e in P.elements)
-                assert stab_table == stabilize_table(table)
+                assert map_flags(phi) == ref_classify(P, phi.table)
+                expected = power_table(table, n)
+                assert stabilize_table(table) == expected
+                assert stabilize(phi).table == label_table(P, expected)
+                for k in (1, 2):
+                    assert phi.power(k).table == label_table(P, power_table(table, k))
                 assert table_fixed_mask(table) == sum(
                     1 << i for i, e in enumerate(P.elements) if phi.table[e] == e
                 )

@@ -142,6 +142,14 @@ class TestCrapo:
         check = crapo_check(P, phi, Q)
         assert check.equal
 
+    def test_map_over_another_poset_rejected(self):
+        # phi is increasing on a, b < c but not on the chain a < b < c; read
+        # against the chain, it would give lhs 1 against rhs 0
+        P = chain("abc")
+        phi = PosetMap(Poset("abc", [("a", "c"), ("b", "c")]), {"a": "c", "b": "b", "c": "c"})
+        with pytest.raises(PosetError, match="^the map's domain is not P$"):
+            crapo_check(P, phi, {"b", "c"})
+
     def test_named_preconditions(self):
         P = b2()
         drop = PosetMap(P, {"0": "0", "1": "0", "2": "2", "12": "2"})

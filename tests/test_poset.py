@@ -8,9 +8,7 @@ from poset_collapse import (
     Poset,
     PosetError,
     PosetMap,
-    classify_map,
     decompose_monotone,
-    fixed_points,
     open_interval,
     stabilize,
     stable_preimage,
@@ -18,13 +16,11 @@ from poset_collapse import (
 from poset_collapse.enumeration import (
     decreasing_tables,
     increasing_tables,
-    iter_posets,
     map_from_table,
     monotone_tables,
-    poset_from_masks,
 )
 
-from conftest import posets
+from conftest import map_flags, posets
 
 
 def chain(labels="abc"):
@@ -44,7 +40,7 @@ class TestPosetConstruction:
         P = chain()
         assert P.lt("a", "c")
         assert sorted(P.cover_pairs()) == [("a", "b"), ("b", "c")]
-        Q = Poset.from_covers(P.elements, P.cover_pairs())
+        Q = Poset(P.elements, P.cover_pairs())
         assert Q == P
 
     def test_reflexive_pair_rejected(self):
@@ -93,30 +89,38 @@ class TestOpenInterval:
 
 class TestClassify:
     def test_union_closure_is_increasing(self):
-        flags = classify_map(b2(), B2_CLOSURE)
-        assert flags.order_preserving and flags.monotone and flags.increasing
-        assert not flags.decreasing
+        phi = PosetMap(b2(), B2_CLOSURE)
+        assert phi.order_preserving and phi.monotone and phi.increasing
+        assert not phi.decreasing
 
     def test_drop_map_is_decreasing(self):
-        flags = classify_map(b2(), B2_DROP)
-        assert flags.decreasing and flags.monotone and not flags.increasing
+        phi = PosetMap(b2(), B2_DROP)
+        assert phi.decreasing and phi.monotone and not phi.increasing
 
     def test_composition_of_the_two_is_not_monotone(self):
         P = b2()
         comp = PosetMap(P, B2_DROP).compose(PosetMap(P, B2_CLOSURE))
         assert comp.table == {"0": "2", "1": "2", "2": "2", "12": "2"}
-        flags = comp.flags()
-        assert flags.order_preserving and not flags.monotone
+        assert comp.order_preserving and not comp.monotone
         assert comp.non_monotone_witness() == "1"
 
     def test_identity_has_all_flags(self):
         P = b2()
-        flags = classify_map(P, {e: e for e in P})
-        assert flags == type(flags)(True, True, True, True)
+        phi = PosetMap(P, {e: e for e in P})
+        assert map_flags(phi) == (True, True, True, True)
 
     def test_partial_map_rejected(self):
         with pytest.raises(PosetError):
-            classify_map(chain(), {"a": "a"})
+            PosetMap(chain(), {"a": "a"})
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(PosetError, match="^map has a key outside the poset: 'zzz'$"):
+            PosetMap(chain(), {"a": "a", "b": "b", "c": "c", "zzz": "a"})
+
+    def test_table_is_a_copy(self):
+        phi = PosetMap(chain(), {"a": "b", "b": "b", "c": "c"})
+        phi.table["a"] = "c"
+        assert phi("a") == "b" and phi.table == {"a": "b", "b": "b", "c": "c"}
 
     @given(posets(max_size=5))
     @settings(max_examples=40, deadline=None)
@@ -268,7 +272,7 @@ class TestStablePreimage:
 
     def test_fixed_points_of_closure(self):
         phi = PosetMap(b2(), B2_CLOSURE)
-        assert fixed_points(phi) == {"2", "12"}
+        assert phi.fixed_points() == {"2", "12"}
 
     @given(posets(max_size=5))
     @settings(max_examples=30, deadline=None)
@@ -302,24 +306,3 @@ class TestCompositionClosure:
             for g in dec:
                 assert f.compose(g).decreasing
 
-
-def test_enumeration_agrees_with_object_level_flags():
-    # the bitmask map streams and the PosetMap classifier must agree exactly
-    for n in range(1, 4):
-        for below in iter_posets(n):
-            P = poset_from_masks(below)
-            elems = P.elements
-            from itertools import product
-
-            mono, inc, dec = set(), set(), set()
-            for values in product(range(n), repeat=n):
-                phi = PosetMap(P, {elems[i]: elems[v] for i, v in enumerate(values)})
-                if phi.monotone:
-                    mono.add(values)
-                if phi.increasing:
-                    inc.add(values)
-                if phi.decreasing:
-                    dec.add(values)
-            assert mono == set(monotone_tables(below))
-            assert inc == set(increasing_tables(below))
-            assert dec == set(decreasing_tables(below))

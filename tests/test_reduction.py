@@ -96,6 +96,12 @@ class TestIntervalWitness:
         with pytest.raises(PosetError):
             interval_witness(P, comp, "1")
 
+    def test_map_over_another_poset_rejected(self):
+        P = Poset("abc", [("a", "b"), ("b", "c")])
+        phi = PosetMap(Poset("abc", [("a", "c"), ("b", "c")]), {"a": "c", "b": "b", "c": "c"})
+        with pytest.raises(PosetError, match="^the map's domain is not P$"):
+            interval_witness(P, phi, "a")
+
     def test_descending_part_ignores_the_upper_interval(self):
         # mutilating everything above x must not change the witness when
         # phi(x) < x and the upper interval is empty vs. rebuilt elsewhere
@@ -164,6 +170,14 @@ class TestTheoremReduce:
         assert report.gamma.image() <= Q
         X, Y = order_complex(P), order_complex(P.induced(Q))
         assert verify_ne_certificate(X, Y, report.certificate)
+
+    def test_map_over_another_poset_rejected(self):
+        # read against the chain, phi's power is not monotone, which would
+        # be reported as a failed power instead of the wrong input it is
+        P = Poset("abc", [("a", "b"), ("b", "c")])
+        phi = PosetMap(Poset("abc", [("a", "c"), ("b", "c")]), {"a": "c", "b": "b", "c": "c"})
+        with pytest.raises(PosetError, match="^the map's domain is not P$"):
+            theorem_reduce(P, phi, {"b", "c"})
 
     def test_stabilization_outside_q_is_an_error_not_an_assert(self, monkeypatch):
         # a stabilization whose image misses Q must fail loudly, also under -O
@@ -385,7 +399,8 @@ class TestWorkGuard:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(PosetMap, "__init__", counting("PosetMap", PosetMap.__init__))
+        # every PosetMap, from a label dict or from an int table, is set up here
+        monkeypatch.setattr(PosetMap, "_init_table", counting("PosetMap", PosetMap._init_table))
         monkeypatch.setattr(Poset, "induced", counting("induced", Poset.induced))
         wrapped = counting("order_complex", order_complex)
         for name, module in list(sys.modules.items()):

@@ -1,11 +1,14 @@
 """Rules on the package source itself."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import poset_collapse
 
 SRC = Path(poset_collapse.__file__).parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_no_assert_statements():
@@ -16,3 +19,57 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the package: {found}"
     assert len(list(SRC.rglob("*.py"))) >= 10
+
+
+def _perfbench_constant(name, filename):
+    # read from the benchmark's source with `ast`, without importing it
+    path = PERFBENCH / filename
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{filename} defines no {name}")
+
+
+def test_benchmark_traced_names_resolve():
+    # a traced benchmark run fails on a layer name that no longer exists
+    methods = _perfbench_constant("TRACED_METHODS", "worker.py")
+    for module, cls_name, attr, _ in methods:
+        cls = getattr(importlib.import_module(f"poset_collapse.{module}"), cls_name)
+        assert attr in cls.__dict__, f"{module}.{cls_name}.{attr} is gone"
+    spans = {span for *_, span in methods}
+    for layer in _perfbench_constant("LAYERS", "run.py"):
+        if layer in spans:
+            continue
+        module, name = layer.split(".")
+        mod = importlib.import_module(f"poset_collapse.{module}")
+        fn = getattr(mod, name, None)
+        assert inspect.isfunction(fn) and fn.__module__ == mod.__name__, f"{layer} is not a function of its module"
+
+
+def test_benchmark_workload_names_resolve():
+    # the workloads reach the package as `L.<module>.<name>`, or through a
+    # local alias such as `E = self.L.enumeration`
+    path = PERFBENCH / "workloads.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = set(_perfbench_constant("LAYER_MODULES", "workloads.py"))
+    alias = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, value = node.targets[0], node.value
+            pairs = [(target, value)]
+            if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+                pairs = zip(target.elts, value.elts)
+            for t, v in pairs:
+                if isinstance(t, ast.Name) and isinstance(v, ast.Attribute) and v.attr in modules:
+                    alias[t.id] = v.attr
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            v = node.value
+            if isinstance(v, ast.Attribute) and v.attr in modules:
+                used.add((v.attr, node.attr))
+            elif isinstance(v, ast.Name) and v.id in alias:
+                used.add((alias[v.id], node.attr))
+    missing = sorted(f"{m}.{name}" for m, name in used
+                     if not hasattr(importlib.import_module(f"poset_collapse.{m}"), name))
+    assert len(used) > 20 and not missing, f"names the workloads use are gone: {missing}"
