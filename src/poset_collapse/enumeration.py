@@ -3,20 +3,23 @@
 Labeled posets on n elements are streamed as tuples of bitmasks
 (below[i] = mask of elements strictly below i) by inserting element k into
 every poset on k-1 elements via a (down-set, up-set) choice; each labeled
-poset arises exactly once.  Self-map tables are tuples of target indices:
-the int tables that `PosetMap` holds, so `map_from_table` wraps a table
+poset arises exactly once.  The down-sets and up-sets come from one pass
+over closed-set masks.  Self-map tables are tuples of target indices: the
+int tables that `PosetMap` holds, so `map_from_table` wraps a table
 without building a label dict, and `stabilize_table` runs the power kernel
-behind `PosetMap.power` and `stabilize`.  These raw forms keep desk-scale
-exhaustive suites (millions of instances) affordable; the test suite checks
-them against label-level references of its own.
+behind `PosetMap.power` and `stabilize`.  The tables are grown element by
+element, each element's images narrowed to one candidate mask by the
+images already chosen.  These raw forms keep desk-scale exhaustive suites
+(millions of instances) affordable; the test suite checks them against
+label-level references and simpler loop kernels of its own.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from typing import Iterator
 
-from .complexes import SimplicialComplex
+from .complexes import ComplexError, SimplicialComplex
 from .poset import Poset, PosetError, PosetMap, _table_power
 from .poset import _above_masks as above_masks
 
@@ -24,6 +27,27 @@ LABELS = "abcdefghij"
 
 
 # -- labeled poset stream --------------------------------------------------------
+
+
+def _down_up_sets(below: tuple[int, ...], above: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """The down-sets and the up-sets of a poset's bitmask rows, each in
+    ascending mask order, from one pass over the subsets: the union of the
+    rows of S extends the union for S less its lowest element, and S is
+    closed when that union stays inside S."""
+    down_union = [0] * (1 << len(below))
+    up_union = down_union[:]
+    downsets = [0]
+    upsets = [0]
+    for S in range(1, len(down_union)):
+        low = S & -S
+        j = low.bit_length() - 1
+        d = down_union[S] = down_union[S ^ low] | below[j]
+        u = up_union[S] = up_union[S ^ low] | above[j]
+        if not d & ~S:
+            downsets.append(S)
+        if not u & ~S:
+            upsets.append(S)
+    return downsets, upsets
 
 
 def iter_posets(n: int) -> Iterator[tuple[int, ...]]:
@@ -35,14 +59,7 @@ def iter_posets(n: int) -> Iterator[tuple[int, ...]]:
         k = n - 1
         full = (1 << k) - 1
         above = above_masks(below)
-        downsets = [
-            S for S in range(full + 1)
-            if all(not (S >> i & 1) or not (below[i] & ~S) for i in range(k))
-        ]
-        upsets = [
-            S for S in range(full + 1)
-            if all(not (S >> i & 1) or not (above[i] & ~S) for i in range(k))
-        ]
+        downsets, upsets = _down_up_sets(below, above)
         for D in downsets:
             allowed = full
             m = D
@@ -67,36 +84,31 @@ def iter_posets(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def _map_tables(below: tuple[int, ...], candidates: list[int]) -> list[tuple[int, ...]]:
+    """Every order-preserving table with f(i) in candidates[i], in
+    lexicographic order.  The tables are grown one element at a time; the
+    images allowed for i are one mask, narrowed by the images of the earlier
+    elements comparable to i, and are taken in ascending bit order."""
     n = len(below)
     above = above_masks(below)
     leq = [below[i] | (1 << i) for i in range(n)]
-    out: list[tuple[int, ...]] = []
-    f = [0] * n
-
-    def rec(i: int):
-        if i == n:
-            out.append(tuple(f))
-            return
+    geq = [above[i] | (1 << i) for i in range(n)]
+    partial: list[tuple[int, ...]] = [()]
+    for i in range(n):
+        # an earlier j below i needs f(j) <= f(i); an earlier j above i, f(i) <= f(j)
+        bounds = [(j, geq) for j in range(i) if below[i] >> j & 1]
+        bounds += [(j, leq) for j in range(i) if above[i] >> j & 1]
         cand = candidates[i]
-        for y in range(n):
-            if not (cand >> y & 1):
-                continue
-            ok = True
-            for j in range(i):
-                if below[i] >> j & 1:
-                    if not (leq[y] >> f[j] & 1):
-                        ok = False
-                        break
-                elif above[i] >> j & 1:
-                    if not (leq[f[j]] >> y & 1):
-                        ok = False
-                        break
-            if ok:
-                f[i] = y
-                rec(i + 1)
-
-    rec(0)
-    return out
+        grown = []
+        for f in partial:
+            m = cand
+            for j, rows in bounds:
+                m &= rows[f[j]]
+            while m:
+                low = m & -m
+                grown.append(f + (low.bit_length() - 1,))
+                m ^= low
+        partial = grown
+    return partial
 
 
 def monotone_tables(below: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -231,6 +243,8 @@ def iter_antichain_complexes(n_vertices: int) -> Iterator[tuple[int, ...]]:
 
 def poset_from_masks(below: tuple[int, ...], labels: str = LABELS) -> Poset:
     n = len(below)
+    if n > len(labels):
+        raise PosetError(f"{n} mask rows but only {len(labels)} labels")
     chosen = tuple(labels[:n])
     if list(chosen) != sorted(chosen):
         raise ValueError("mask indices must follow sorted label order")
@@ -248,8 +262,11 @@ def map_from_table(P: Poset, table: tuple[int, ...]) -> PosetMap:
 
 
 def complex_from_masks(facet_masks, labels: str = LABELS) -> SimplicialComplex:
+    width = len(labels)
     faces = []
     for mask in facet_masks:
+        if mask >> width:
+            raise ComplexError(f"facet mask {mask} has a vertex past the {width} labels")
         face = []
         m = mask
         while m:

@@ -286,9 +286,10 @@ class PosetMap:
         t = []
         for e in elems:
             v = mapping[e]
-            if v not in index:
-                raise PosetError(f"map sends {e!r} outside the poset: {v!r}")
-            t.append(index[v])
+            try:
+                t.append(index[v])
+            except (KeyError, TypeError):  # TypeError: an unhashable image
+                raise PosetError(f"map sends {e!r} outside the poset: {v!r}") from None
         if len(mapping) != len(elems):
             unknown = next(k for k in mapping if k not in index)
             raise PosetError(f"map has a key outside the poset: {unknown!r}")

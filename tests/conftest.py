@@ -15,6 +15,7 @@ from poset_collapse import (
     delete_vertex,
     link,
 )
+from poset_collapse.poset import _above_masks as above_masks
 
 LABELS = "abcdefghij"
 
@@ -56,6 +57,79 @@ def power_table(t: tuple[int, ...], k: int) -> tuple[int, ...]:
 def label_table(P: Poset, t: tuple[int, ...]) -> dict:
     """The label dict of an int table over P's sorted elements."""
     return {e: P.elements[v] for e, v in zip(P.elements, t)}
+
+
+def ref_iter_posets(n: int):
+    """The labeled poset stream by `all(...)` scans for the down-sets and
+    up-sets; the reference for `enumeration.iter_posets`, order included."""
+    if n == 0:
+        yield ()
+        return
+    for below in ref_iter_posets(n - 1):
+        k = n - 1
+        full = (1 << k) - 1
+        above = above_masks(below)
+        downsets = [
+            S for S in range(full + 1)
+            if all(not (S >> i & 1) or not (below[i] & ~S) for i in range(k))
+        ]
+        upsets = [
+            S for S in range(full + 1)
+            if all(not (S >> i & 1) or not (above[i] & ~S) for i in range(k))
+        ]
+        for D in downsets:
+            allowed = full
+            m = D
+            while m:
+                d = (m & -m).bit_length() - 1
+                allowed &= above[d]
+                m &= m - 1
+            for U in upsets:
+                if U & ~allowed:
+                    continue
+                nb = list(below)
+                m = U
+                while m:
+                    u = (m & -m).bit_length() - 1
+                    nb[u] |= 1 << k
+                    m &= m - 1
+                nb.append(D)
+                yield tuple(nb)
+
+
+def ref_map_tables(below: tuple[int, ...], candidates: list[int]) -> list[tuple[int, ...]]:
+    """Self-map tables by testing each candidate image against every earlier
+    element; the reference for `enumeration._map_tables`, order included."""
+    n = len(below)
+    above = above_masks(below)
+    leq = [below[i] | (1 << i) for i in range(n)]
+    out: list[tuple[int, ...]] = []
+    f = [0] * n
+
+    def rec(i: int):
+        if i == n:
+            out.append(tuple(f))
+            return
+        cand = candidates[i]
+        for y in range(n):
+            if not (cand >> y & 1):
+                continue
+            ok = True
+            for j in range(i):
+                if below[i] >> j & 1:
+                    if not (leq[y] >> f[j] & 1):
+                        ok = False
+                        break
+                elif above[i] >> j & 1:
+                    if not (leq[f[j]] >> y & 1):
+                        ok = False
+                        break
+            if ok:
+                f[i] = y
+                rec(i + 1)
+
+    rec(0)
+    return out
 
 
 def split_chain(n, along):

@@ -1,8 +1,12 @@
 """End-to-end CLI runs: exit codes, file round-trips, byte determinism."""
 
+import contextlib
+import io
 import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from poset_collapse import SimplicialComplex, verify_collapse
 from poset_collapse import serialization as ser
@@ -395,3 +399,119 @@ class TestInternalErrors:
         code, out, err = run(["order-complex", "--poset", poset], capsys)
         assert code == 4
         assert err == f"internal error: {shown}\n" and out == ""
+
+
+# -- fuzz: every file a subcommand reads, arbitrary or mutated -------------------
+
+SIMPLEX = {"facets": [["a", "b", "c"]]}
+POINT_C = {"facets": [["c"]]}
+
+# each subcommand that reads files, with the flag and the valid content of
+# each file; "witness" and the certificates are made by the CLI itself
+FUZZ_COMMANDS = {
+    "classify-map": {"--poset": B2, "--map": CLOSURE},
+    "decompose": {"--poset": B2, "--map": CLOSURE},
+    "order-complex": {"--poset": B2},
+    "nonevasive": {"--complex": SIMPLEX},
+    "verify-witness": {"--complex": SIMPLEX, "--witness": "witness"},
+    "ne-search": {"--complex": SIMPLEX, "--target": POINT_C},
+    "reduce": {"--poset": B2, "--map": CLOSURE, "--sub": {"elements": ["1", "2", "12"]}},
+    "reduce-to-image": {"--poset": B2, "--map": CLOSURE},
+    "to-collapse": {"--complex": SIMPLEX, "--certificate": "cert-simplex"},
+    "collapse-search": {"--complex": SIMPLEX, "--target": POINT_C},
+    "mobius": {"--poset": B2},
+    "hall-check": {"--poset": B2},
+    "crapo-check": {"--poset": B2, "--map": CLOSURE, "--sub": {"elements": ["0", "2", "12"]}},
+    "common-expansion": {
+        "--complex-a": {"facets": [["a", "b", "c"]]},
+        "--complex-c": {"facets": [["b", "c", "d"]]},
+        "--cert-ab": "cert-ab",
+        "--cert-cb": "cert-cb",
+    },
+    "enumerate": {"--complexes": {"complexes": [{"facets": [["a"]]}, SIMPLEX, BOUNDARY]}},
+}
+
+LABEL_LEAVES = st.sampled_from(["0", "1", "2", "12", "a", "b", "c", "d"])
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 20) | st.floats() | st.text(max_size=4) | LABEL_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8) | st.sampled_from(["facets", "elements", "covers", "map"]), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _cli(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def made_files(tmp_path_factory):
+    """The witness and certificates the fuzz mutates, written by the CLI, and
+    a directory for the fuzzed files."""
+    tmp = tmp_path_factory.mktemp("made")
+
+    def made(argv, field):
+        code, out, err = _cli(argv)
+        assert code == 0, err
+        return json.loads(out)[field]
+
+    def cx(name, data):
+        path = tmp / name
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    simplex = cx("simplex.json", SIMPLEX)
+    a = cx("a.json", FUZZ_COMMANDS["common-expansion"]["--complex-a"])
+    c = cx("c.json", FUZZ_COMMANDS["common-expansion"]["--complex-c"])
+    b = cx("b.json", {"facets": [["b", "c"]]})
+    return {
+        "dir": tmp,
+        "witness": made(["nonevasive", "--complex", simplex], "witness"),
+        "cert-simplex": made(["ne-search", "--complex", simplex, "--target", cx("pt.json", POINT_C)], "certificate"),
+        "cert-ab": made(["ne-search", "--complex", a, "--target", b], "certificate"),
+        "cert-cb": made(["ne-search", "--complex", c, "--target", b], "certificate"),
+    }
+
+
+@st.composite
+def mutations(draw, value):
+    """`value` with one node replaced, one label swapped, or one entry
+    dropped or repeated."""
+    if isinstance(value, str):
+        return draw(LABEL_LEAVES | JSON_TREES)
+    if not value or draw(st.integers(0, 4)) == 0:
+        return draw(JSON_TREES)
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    key = draw(st.sampled_from(sorted(copy) if isinstance(copy, dict) else range(len(copy))))
+    action = draw(st.integers(0, 4))
+    if action == 0:
+        del copy[key]
+    elif action == 1 and isinstance(copy, list):
+        copy.append(copy[key])
+    else:
+        copy[key] = draw(mutations(value[key]))
+    return copy
+
+
+@given(data=st.data())
+@settings(max_examples=250, deadline=None)
+def test_fuzzed_input_files_end_in_a_documented_exit_code(made_files, data):
+    # arbitrary JSON trees and mutations of valid files, for every subcommand
+    # that reads a file: never an internal error (exit 4), never a traceback
+    command = data.draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    files = FUZZ_COMMANDS[command]
+    target = data.draw(st.sampled_from(sorted(files)))
+    argv = [command]
+    for flag, valid in files.items():
+        content = made_files[valid] if isinstance(valid, str) else valid
+        if flag == target:
+            content = data.draw(JSON_TREES if data.draw(st.integers(0, 3)) == 0 else mutations(content))
+        path = made_files["dir"] / (flag.strip("-") + ".json")
+        path.write_text(json.dumps(content))
+        argv += [flag, str(path)]
+    code, out, err = _cli(argv)
+    assert code in (0, 1, 2, 3), (argv, err)
+    assert "Traceback" not in err

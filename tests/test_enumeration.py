@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from poset_collapse import Poset, PosetError, PosetMap, stabilize
+from poset_collapse import ComplexError, Poset, PosetError, PosetMap, stabilize
 from poset_collapse.enumeration import (
     LABELS,
+    _down_up_sets,
     apply_perm,
     canonical_poset,
     complex_from_masks,
@@ -25,7 +26,16 @@ from poset_collapse.enumeration import (
     table_image_mask,
 )
 
-from conftest import below_masks, label_table, map_flags, power_table, ref_classify
+from conftest import (
+    above_masks,
+    below_masks,
+    label_table,
+    map_flags,
+    power_table,
+    ref_classify,
+    ref_iter_posets,
+    ref_map_tables,
+)
 
 LABELED_POSET_COUNTS = {0: 1, 1: 1, 2: 3, 3: 19, 4: 219, 5: 4231}
 UNLABELED_POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63}
@@ -34,6 +44,43 @@ UNLABELED_POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63}
 def test_labeled_poset_counts_match_the_literature():
     for n, expected in LABELED_POSET_COUNTS.items():
         assert sum(1 for _ in iter_posets(n)) == expected
+
+
+def test_poset_stream_matches_the_reference_loop():
+    # same posets in the same order as the all(...)-scan reference
+    for n in range(7):
+        assert list(iter_posets(n)) == list(ref_iter_posets(n))
+
+
+def test_down_up_sets_match_the_definition():
+    for n in range(6):
+        members = [[i for i in range(n) if S >> i & 1] for S in range(1 << n)]
+        for below in iter_posets(n):
+            above = above_masks(below)
+            downsets, upsets = _down_up_sets(below, above)
+            assert downsets == [S for S, els in enumerate(members) if all(below[i] & ~S == 0 for i in els)]
+            assert upsets == [S for S, els in enumerate(members) if all(above[i] & ~S == 0 for i in els)]
+
+
+def _families_match_the_reference(below):
+    n = len(below)
+    above = above_masks(below)
+    comparable = [below[i] | above[i] | 1 << i for i in range(n)]
+    geq = [above[i] | 1 << i for i in range(n)]
+    leq = [below[i] | 1 << i for i in range(n)]
+    assert monotone_tables(below) == ref_map_tables(below, comparable)
+    assert increasing_tables(below) == ref_map_tables(below, geq)
+    assert decreasing_tables(below) == ref_map_tables(below, leq)
+
+
+def test_table_streams_match_the_reference_loop():
+    # same tables in the same order as the per-candidate reference: every
+    # poset with n <= 5 and a seeded slice of the 6-element ones
+    for n in range(6):
+        for below in iter_posets(n):
+            _families_match_the_reference(below)
+    for below in random.Random(2026).sample(list(iter_posets(6)), 2000):
+        _families_match_the_reference(below)
 
 
 def test_posets_are_distinct_and_valid():
@@ -141,6 +188,16 @@ def test_antichain_masks_are_facets():
     for masks in iter_antichain_complexes(3):
         X = complex_from_masks(masks)
         assert len(X.facets) == len(masks)
+
+
+def test_mask_converters_reject_rows_past_the_labels():
+    with pytest.raises(PosetError, match="^11 mask rows but only 10 labels$"):
+        poset_from_masks((0,) * 11)
+    assert len(poset_from_masks((0,) * 10)) == 10
+    for mask in (1 << 12, 1 << 10, -1):
+        with pytest.raises(ComplexError, match=f"^facet mask {mask} has a vertex past the 10 labels$"):
+            complex_from_masks([1, mask])
+    assert complex_from_masks([1 << 9]).vertices == ("j",)
 
 
 @given(st.integers(0, 4230))

@@ -1,5 +1,7 @@
 """Posets, map classification, decomposition, stabilization."""
 
+import re
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -116,6 +118,12 @@ class TestClassify:
     def test_unknown_key_rejected(self):
         with pytest.raises(PosetError, match="^map has a key outside the poset: 'zzz'$"):
             PosetMap(chain(), {"a": "a", "b": "b", "c": "c", "zzz": "a"})
+
+    @pytest.mark.parametrize("image", [["b"], {"b": 1}, "zzz"])
+    def test_image_outside_the_poset_rejected(self, image):
+        # an unhashable image is outside the poset too, not a TypeError
+        with pytest.raises(PosetError, match=rf"^map sends 'a' outside the poset: {re.escape(repr(image))}$"):
+            PosetMap(chain(), {"a": image, "b": "b", "c": "c"})
 
     def test_table_is_a_copy(self):
         phi = PosetMap(chain(), {"a": "b", "b": "b", "c": "c"})
