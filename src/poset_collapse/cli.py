@@ -15,22 +15,18 @@ import os
 import sys
 
 from . import serialization as ser
-from .collapse import (
-    CollapseSequence,
-    certificate_to_collapse,
-    search_collapse,
-    verify_collapse,
-)
-from .complexes import ComplexError, SimplicialComplex, order_complex
+from .collapse import certificate_to_collapse, search_collapse
+from .complexes import ComplexError, order_complex
 from .evasiveness import (
     BUDGET_EXCEEDED,
+    DEFAULT_BUDGET,
     EVASIVE,
     NOT_FOUND,
-    NECertificate,
     SearchBudget,
     classify_ne_equivalence,
     common_expansion,
     is_nonevasive,
+    replay_certificate,
     search_ne_reduction,
     verify_witness,
 )
@@ -48,7 +44,7 @@ EXIT_INTERNAL = 4
 def _budget(args) -> SearchBudget:
     nodes = args.budget_nodes
     if nodes is None:
-        env = os.environ.get("POSET_COLLAPSE_BUDGET") or "1000000"
+        env = os.environ.get("POSET_COLLAPSE_BUDGET") or str(DEFAULT_BUDGET.max_nodes)
         if not env.isdigit() or int(env) == 0:
             raise ser.InputError(f"POSET_COLLAPSE_BUDGET must be a positive integer, got {env!r}")
         nodes = int(env)
@@ -71,6 +67,20 @@ def _emit(args, data: dict) -> None:
         sys.stdout.write(text)
 
 
+def _emit_outcome(args, result, found: str, key: str, to_data) -> int:
+    """Emit a search result: budget-exceeded (exit 3), evasive or not-found
+    (exit 1), or status `found` with the converted result under `key`; the
+    sentinels are tested by identity, since hashing a witness walks it."""
+    if result is BUDGET_EXCEEDED:
+        _emit(args, {"status": "budget-exceeded"})
+        return EXIT_BUDGET
+    if result is EVASIVE or result is NOT_FOUND:
+        _emit(args, {"status": "evasive" if result is EVASIVE else "not-found"})
+        return EXIT_NEGATIVE
+    _emit(args, {"status": found, key: to_data(result)})
+    return EXIT_OK
+
+
 def _load_poset(path):
     return ser.poset_from_data(ser.load_json(path), where=str(path))
 
@@ -87,7 +97,7 @@ def _load_certificate(path):
     return ser.certificate_from_data(ser.load_json(path), where=str(path))
 
 
-def _resolve_subset(P, phi, spec: str):
+def _resolve_subset(phi, spec: str):
     if spec == "fix":
         return phi.fixed_points()
     if spec == "image":
@@ -130,14 +140,7 @@ def cmd_order_complex(args):
 def cmd_nonevasive(args):
     X = _load_complex(args.complex)
     result = is_nonevasive(X, _budget(args))
-    if result is BUDGET_EXCEEDED:
-        _emit(args, {"status": "budget-exceeded"})
-        return EXIT_BUDGET
-    if result is EVASIVE:
-        _emit(args, {"status": "evasive"})
-        return EXIT_NEGATIVE
-    _emit(args, {"status": "nonevasive", "witness": ser.witness_to_data(result)})
-    return EXIT_OK
+    return _emit_outcome(args, result, "nonevasive", "witness", ser.witness_to_data)
 
 
 def cmd_verify_witness(args):
@@ -152,26 +155,15 @@ def cmd_ne_search(args):
     X = _load_complex(args.complex)
     Y = _load_complex(args.target)
     result = search_ne_reduction(X, Y, _budget(args))
-    if result is BUDGET_EXCEEDED:
-        _emit(args, {"status": "budget-exceeded"})
-        return EXIT_BUDGET
-    if result is NOT_FOUND:
-        _emit(args, {"status": "not-found"})
-        return EXIT_NEGATIVE
-    _emit(args, {"status": "found", "certificate": ser.certificate_to_data(result)})
-    return EXIT_OK
-
-
-def _run_reduce(args, P, phi, subset):
-    report = theorem_reduce(P, phi, subset, emit_collapse=args.emit_collapse)
-    _emit(args, ser.reduction_report_to_data(report))
-    return EXIT_OK
+    return _emit_outcome(args, result, "found", "certificate", ser.certificate_to_data)
 
 
 def cmd_reduce(args):
     P = _load_poset(args.poset)
     phi = _load_map(args.map, P)
-    return _run_reduce(args, P, phi, _resolve_subset(P, phi, args.sub))
+    report = theorem_reduce(P, phi, _resolve_subset(phi, args.sub), emit_collapse=args.emit_collapse)
+    _emit(args, ser.reduction_report_to_data(report))
+    return EXIT_OK
 
 
 def cmd_reduce_to_image(args):
@@ -196,14 +188,7 @@ def cmd_collapse_search(args):
     if Y is None and not args.to_point:
         raise ser.InputError("collapse-search needs --target FILE or --to-point")
     result = search_collapse(X, Y, _budget(args))
-    if result is BUDGET_EXCEEDED:
-        _emit(args, {"status": "budget-exceeded"})
-        return EXIT_BUDGET
-    if result is NOT_FOUND:
-        _emit(args, {"status": "not-found"})
-        return EXIT_NEGATIVE
-    _emit(args, {"status": "found", "sequence": ser.collapse_to_data(result)})
-    return EXIT_OK
+    return _emit_outcome(args, result, "found", "sequence", ser.collapse_to_data)
 
 
 def cmd_mobius(args):
@@ -222,7 +207,7 @@ def cmd_hall_check(args):
 def cmd_crapo_check(args):
     P = _load_poset(args.poset)
     phi = _load_map(args.map, P)
-    subset = _resolve_subset(P, phi, args.sub)
+    subset = _resolve_subset(phi, args.sub)
     check = crapo_check(P, phi, subset)
     _emit(args, ser.crapo_to_data(check))
     return EXIT_OK if check.equal else EXIT_NEGATIVE
@@ -233,8 +218,6 @@ def cmd_common_expansion(args):
     C = _load_complex(args.complex_c)
     cert_ab = _load_certificate(args.cert_ab)
     cert_cb = _load_certificate(args.cert_cb)
-    from .evasiveness import replay_certificate
-
     B = replay_certificate(A, cert_ab)
     if B is None:
         raise ser.InputError(f"{args.cert_ab}: certificate does not replay from the first complex")
@@ -276,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", "-o", help="write JSON here instead of stdout")
         p.add_argument("--seed", type=int, default=0, help="recorded in outputs")
         p.add_argument("--budget-nodes", type=int, default=None)
-        p.add_argument("--budget-vertices", type=int, default=16)
+        p.add_argument("--budget-vertices", type=int, default=DEFAULT_BUDGET.max_vertices)
         return p
 
     p = add("classify-map", cmd_classify_map, help="classification flags of a self-map")

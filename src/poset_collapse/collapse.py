@@ -63,9 +63,6 @@ class CollapseSequence:
     def __iter__(self):
         return iter(self.steps)
 
-    def __add__(self, other: "CollapseSequence") -> "CollapseSequence":
-        return CollapseSequence(self.steps + other.steps)
-
 
 def _face_key(f: frozenset) -> tuple:
     return tuple(sorted(f))

@@ -83,15 +83,17 @@ def iter_posets(n: int) -> Iterator[tuple[int, ...]]:
 # -- self-map tables --------------------------------------------------------------
 
 
-def _map_tables(below: tuple[int, ...], candidates: list[int]) -> list[tuple[int, ...]]:
-    """Every order-preserving table with f(i) in candidates[i], in
-    lexicographic order.  The tables are grown one element at a time; the
-    images allowed for i are one mask, narrowed by the images of the earlier
-    elements comparable to i, and are taken in ascending bit order."""
+def _map_tables(below: tuple[int, ...], images: str) -> list[tuple[int, ...]]:
+    """Every order-preserving table with f(i) in the `images` row of i
+    ("leq", "geq" or "comparable"), in lexicographic order.  The tables are
+    grown one element at a time; the images allowed for i are one mask,
+    narrowed by the images of the earlier elements comparable to i, and are
+    taken in ascending bit order."""
     n = len(below)
     above = above_masks(below)
     leq = [below[i] | (1 << i) for i in range(n)]
     geq = [above[i] | (1 << i) for i in range(n)]
+    candidates = {"leq": leq, "geq": geq, "comparable": [l | g for l, g in zip(leq, geq)]}[images]
     partial: list[tuple[int, ...]] = [()]
     for i in range(n):
         # an earlier j below i needs f(j) <= f(i); an earlier j above i, f(i) <= f(j)
@@ -113,24 +115,16 @@ def _map_tables(below: tuple[int, ...], candidates: list[int]) -> list[tuple[int
 
 def monotone_tables(below: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All monotone self-maps: order-preserving, every element comparable to its image."""
-    n = len(below)
-    above = above_masks(below)
-    comparable = [below[i] | above[i] | (1 << i) for i in range(n)]
-    return _map_tables(below, comparable)
+    return _map_tables(below, "comparable")
 
 
 def increasing_tables(below: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All increasing self-maps: order-preserving with x <= f(x)."""
-    n = len(below)
-    above = above_masks(below)
-    geq = [above[i] | (1 << i) for i in range(n)]
-    return _map_tables(below, geq)
+    return _map_tables(below, "geq")
 
 
 def decreasing_tables(below: tuple[int, ...]) -> list[tuple[int, ...]]:
-    n = len(below)
-    leq_masks = [below[i] | (1 << i) for i in range(n)]
-    return _map_tables(below, leq_masks)
+    return _map_tables(below, "leq")
 
 
 def stabilize_table(table: tuple[int, ...]) -> tuple[int, ...]:
@@ -247,7 +241,17 @@ def poset_from_masks(below: tuple[int, ...], labels: str = LABELS) -> Poset:
         raise PosetError(f"{n} mask rows but only {len(labels)} labels")
     chosen = tuple(labels[:n])
     if list(chosen) != sorted(chosen):
-        raise ValueError("mask indices must follow sorted label order")
+        raise PosetError("mask indices must follow sorted label order")
+    for i, row in enumerate(below):
+        # a strict order's row has no bit past n or at i and contains the row of
+        # each element it holds (so the order is closed, and with that acyclic)
+        bad = row >> n or row >> i & 1
+        m = row
+        while m and not bad:
+            bad = below[(m & -m).bit_length() - 1] & ~row
+            m &= m - 1
+        if bad:
+            raise PosetError(f"mask rows are not a closed strict order: row {i} is {row}")
     return Poset._from_closed(chosen, below)
 
 

@@ -146,6 +146,9 @@ class NECertificate:
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """Limits of one search.  `is_nonevasive` and `search_ne_reduction` recurse
+    once per vertex, so they also count more than 512 vertices as over budget."""
+
     max_vertices: int = 16
     max_nodes: int = 1_000_000
 
@@ -155,6 +158,8 @@ class SearchBudget:
 
 
 DEFAULT_BUDGET = SearchBudget()
+
+_RECURSION_VERTICES = 512  # leaves room under the default recursion limit of 1000
 
 
 class _BudgetHit(Exception):
@@ -217,7 +222,7 @@ def is_nonevasive(X: SimplicialComplex, budget: SearchBudget = DEFAULT_BUDGET):
     """
     if isinstance(X, VoidComplex):
         raise ComplexError("the void complex has no evasiveness status")
-    if len(X.vertices) > budget.max_vertices:
+    if len(X.vertices) > min(budget.max_vertices, _RECURSION_VERTICES):
         return BUDGET_EXCEEDED
     _, F = _masks(X)
     try:
@@ -313,7 +318,7 @@ def search_ne_reduction(
     for f in Y.facets:
         if not X.has_face(f):
             raise ComplexError("target is not a subcomplex of the source")
-    if len(X.vertices) > budget.max_vertices:
+    if len(X.vertices) > min(budget.max_vertices, _RECURSION_VERTICES):
         return BUDGET_EXCEEDED
     if induced_subcomplex(X, Y.vertices) != Y:
         # vertex removals always land on induced subcomplexes
@@ -422,11 +427,9 @@ def common_expansion(
     if s_side & t_side:
         raise ComplexError(f"fresh vertex labels clash: {sorted(s_side & t_side)}")
     D = SimplicialComplex(list(A.facets) + list(C.facets))
-    to_c = NECertificate(cert_ab.removed, cert_ab.witnesses)
-    to_a = NECertificate(cert_cb.removed, cert_cb.witnesses)
-    if not verify_ne_certificate(D, C, to_c) or not verify_ne_certificate(D, A, to_a):
+    if not verify_ne_certificate(D, C, cert_ab) or not verify_ne_certificate(D, A, cert_cb):
         raise ComplexError("merged certificates failed replay verification")
-    return CommonExpansion(D, to_a, to_c)
+    return CommonExpansion(D, cert_cb, cert_ab)
 
 
 # -- exploring the equivalence classes --------------------------------------------
@@ -460,24 +463,19 @@ def classify_ne_equivalence(
     def union(i, j):
         parent[find(i)] = find(j)
 
-    homology = [z2_betti(X) for X in family]
+    homology = [list(z2_betti(X)) for X in family]
+    for betti in homology:  # without trailing zeros, equal homology compares equal
+        while betti and not betti[-1]:
+            betti.pop()
     nonevasive = [is_nonevasive(X, budget) for X in family]
     undecided: list[tuple[int, int]] = []
     distinct: list[tuple[int, int]] = []
-
-    def padded_equal(a, b):
-        la, lb = list(a), list(b)
-        while len(la) < len(lb):
-            la.append(0)
-        while len(lb) < len(la):
-            lb.append(0)
-        return la == lb
 
     for i in range(n):
         for j in range(i + 1, n):
             if find(i) == find(j):
                 continue
-            if not padded_equal(homology[i], homology[j]):
+            if homology[i] != homology[j]:
                 distinct.append((i, j))
                 continue
             budget_hit = nonevasive[i] is BUDGET_EXCEEDED or nonevasive[j] is BUDGET_EXCEEDED

@@ -205,37 +205,23 @@ class Poset:
         maxs = self.maximal_elements()
         return maxs[0] if len(maxs) == 1 else None
 
-    def is_bounded(self) -> bool:
-        return len(self) >= 1 and self.minimum() is not None and self.maximum() is not None
-
     def maximal_chains(self) -> list[frozenset[str]]:
         """All inclusion-maximal chains, as vertex sets."""
-        n = len(self.elements)
-        if n == 0:
-            return []
+        below, above, elems = self._below, self._above, self.elements
+        # allowed: the elements above every chain member; a chain grows only by the
+        # minimal members of allowed, so each maximal chain is produced exactly once
+        stack = [((i,), above[i]) for i in range(len(elems)) if not below[i]]
         chains: list[frozenset[str]] = []
-        below, above = self._below, self._above
-        elems = self.elements
-
-        def extend(chain: list[int], allowed: int):
-            # allowed = elements above every chain member; extend only by its
-            # minimal members, so each maximal chain is produced exactly once
+        while stack:
+            chain, allowed = stack.pop()
             if not allowed:
                 chains.append(frozenset(elems[i] for i in chain))
-                return
             m = allowed
             while m:
                 j = (m & -m).bit_length() - 1
                 m &= m - 1
-                if allowed & below[j]:
-                    continue
-                chain.append(j)
-                extend(chain, allowed & above[j])
-                chain.pop()
-
-        for i in range(n):
-            if not below[i]:
-                extend([i], above[i])
+                if not allowed & below[j]:
+                    stack.append((chain + (j,), allowed & above[j]))
         return sorted(chains, key=sorted)
 
     def linear_extension(self) -> tuple[str, ...]:

@@ -66,22 +66,25 @@ class _IntervalBuilder:
 
     def cone(self, S: int, apex: int) -> Witness:
         """The witness of `cone_witness(Delta(S), apex)`: remove the non-apex
-        elements in label order."""
-        key = (S, apex)
-        w = self._cones.get(key)
-        if w is None:
-            abit = 1 << apex
+        elements in label order.  The deletions run in a loop and only the
+        links recurse, so the depth is bounded by the height of S."""
+        cones, comp, labels = self._cones, self.comp, self.labels
+        abit = 1 << apex
+        splits = []
+        while (S, apex) not in cones:
             # apex lies in every maximal chain of S iff it is comparable to all of S
-            if S & ~self.comp[apex] != abit:
-                raise ComplexError(f"{self.labels[apex]!r} is not an apex: some facet misses it")
+            if S & ~comp[apex] != abit:
+                raise ComplexError(f"{labels[apex]!r} is not an apex: some facet misses it")
             rest = S ^ abit
             if not rest:
-                w = PointWitness(self.labels[apex])
-            else:
-                bit = rest & -rest
-                v = bit.bit_length() - 1
-                w = SplitWitness(self.labels[v], self.cone(S & self.comp[v], apex), self.cone(S ^ bit, apex))
-            self._cones[key] = w
+                cones[(S, apex)] = PointWitness(labels[apex])
+                break
+            v = (rest & -rest).bit_length() - 1
+            splits.append((S, v, self.cone(S & comp[v], apex)))
+            S ^= 1 << v
+        w = cones[(S, apex)]
+        for S, v, wl in reversed(splits):
+            w = cones[(S, apex)] = SplitWitness(labels[v], wl, w)
         return w
 
     def descending(self, B: int, top: int, down: Sequence[int], up: Sequence[int]) -> Witness:
@@ -90,28 +93,30 @@ class _IntervalBuilder:
         not below `top` strictly down, with g(x) = top for the removed
         interval's element x.
 
-        Peels B minus the down-set of `top`; the final complex is a cone with
-        apex `top`."""
+        Peels B minus the down-set of `top` in a loop; the final complex is a
+        cone with apex `top`."""
         tbit = 1 << top
         if not B & tbit:
             raise PosetError(f"unknown element {self.labels[top]!r}")
+        splits = []
         removable = B & ~(down[top] | tbit)
-        if not removable:
-            return self.cone(B, top)
-        # the label-least element that is maximal among the removable ones
-        m = removable
-        while up[(m & -m).bit_length() - 1] & removable:
-            m &= m - 1
-        abit = m & -m
-        a = abit.bit_length() - 1
-        below = B & down[a]
-        # g(a) < a here: a <= nothing above top, so an image above a would
-        # force a < g(a) <= top and land a inside the peeled-off down-set
-        wl = self.descending(below, self.g[a], down, up)
-        above = B & up[a]
-        if above:
-            wl = self.join(below, wl, above)
-        return SplitWitness(self.labels[a], wl, self.descending(B ^ abit, top, down, up))
+        while removable:
+            # the label-least element that is maximal among the removable ones
+            m = removable
+            while up[(m & -m).bit_length() - 1] & removable:
+                m &= m - 1
+            abit = m & -m
+            a = abit.bit_length() - 1
+            # nothing in B lies above a (it would be <= top, and a too): lk a = Delta(B & down[a]).
+            # g(a) < a here: a <= nothing above top, so an image above a would
+            # force a < g(a) <= top and land a inside the peeled-off down-set
+            splits.append((a, self.descending(B & down[a], self.g[a], down, up)))
+            B ^= abit
+            removable ^= abit
+        w = self.cone(B, top)
+        for a, wl in reversed(splits):
+            w = SplitWitness(self.labels[a], wl, w)
+        return w
 
     def interval(self, cur: int, x: int) -> Witness:
         """Witness for the link of x in Delta(cur), where g moves x."""
@@ -138,17 +143,19 @@ class _IntervalBuilder:
         return self._transport(w, Y, {})
 
     def _transport(self, w: Witness, Y: int, done: dict) -> Witness:
-        # `done` is keyed by node id: every node of the input is alive while
-        # the input is, and shared subtrees are transported once
+        # `done` is keyed by node id: every node of the input is alive while the input
+        # is, and shared subtrees are transported once; only links recurse
+        splits = []
         out = done.get(id(w))
+        while out is None and isinstance(w, SplitWitness):
+            splits.append((w, self._transport(w.link, Y, done)))
+            w = w.deletion
+            out = done.get(id(w))
         if out is None:
-            if isinstance(w, PointWitness):
-                p = self.index[w.vertex]
-                out = self.cone(Y | 1 << p, p)
-            else:
-                out = SplitWitness(w.vertex, self._transport(w.link, Y, done),
-                                   self._transport(w.deletion, Y, done))
-            done[id(w)] = out
+            p = self.index[w.vertex]
+            out = done[id(w)] = self.cone(Y | 1 << p, p)
+        for s, wl in reversed(splits):
+            out = done[id(s)] = SplitWitness(s.vertex, wl, out)
         return out
 
     def _holds(self, S: int, w: Witness) -> bool:

@@ -7,7 +7,6 @@ Formats (exact field names):
   witness      {"point": "v"} | {"split": {"v": ..., "link": ..., "deletion": ...}}
   certificate  {"removed": [...], "witnesses": [...]}
   collapse     {"steps": [{"free": [...], "coface": [...]}, ...]}
-  homology     {"betti": [...], "reduced_euler": n}
   crapo        {"lhs": n, "rhs": m, "equal": bool, "case": ...}
 
 Every element and vertex label is a JSON string; loaders reject anything
@@ -30,7 +29,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 from .collapse import CollapseSequence
-from .complexes import SimplicialComplex, z2_betti, reduced_euler
+from .complexes import SimplicialComplex
 from .evasiveness import (
     NECertificate,
     NEClassification,
@@ -210,10 +209,6 @@ def complex_from_data(data, where: str = "complex") -> SimplicialComplex:
             raise InputError(f"{where}: facets[{i}] must be a nonempty list")
         _labels(f, f"{where}: facets[{i}]")
     return SimplicialComplex(facets)
-
-
-def homology_to_data(X: SimplicialComplex) -> dict:
-    return {"betti": list(z2_betti(X)), "reduced_euler": reduced_euler(X)}
 
 
 # -- witnesses and certificates ---------------------------------------------------

@@ -184,6 +184,37 @@ class TestComplexCommands:
         assert code == 3
         assert json.loads(out)["status"] == "budget-exceeded"
 
+    def test_long_path_is_over_budget_not_a_crash(self, files, capsys):
+        # past the recursive searches' 512-vertex bound, whatever --budget-vertices says
+        tmp, write = files
+        cx = write("path.json", {"facets": [[f"v{i:04d}", f"v{i + 1:04d}"] for i in range(1199)]})
+        code, out, err = run(["nonevasive", "--complex", cx, "--budget-vertices", "5000"], capsys)
+        assert (code, json.loads(out)["status"], err) == (3, "budget-exceeded", "")
+
+    @pytest.mark.parametrize(
+        "argv, code, status",
+        [
+            (["ne-search", "--target", "pt.json", "--budget-nodes", "1"], 3, "budget-exceeded"),
+            (["ne-search", "--target", "bd.json"], 1, "not-found"),
+            (["collapse-search", "--to-point", "--budget-nodes", "1"], 3, "budget-exceeded"),
+        ],
+    )
+    def test_search_outcomes(self, files, capsys, argv, code, status):
+        tmp, write = files
+        write("pt.json", {"facets": [["c"]]})
+        write("bd.json", BOUNDARY)
+        cx = write("cx.json", {"facets": [["a", "b", "c"], ["a", "d"]]})
+        argv = [str(tmp / a) if a.endswith(".json") else a for a in argv]
+        assert run(argv + ["--complex", cx], capsys)[:2] == (code, ser.dumps({"status": status, "seed": 0}))
+
+    def test_order_complex_of_a_long_chain(self, files, capsys):
+        tmp, write = files
+        labels = [f"c{i:04d}" for i in range(1200)]
+        poset = write("chain.json", {"elements": labels, "covers": [list(p) for p in zip(labels, labels[1:])]})
+        code, out, err = run(["order-complex", "--poset", poset], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["facets"] == [labels]
+
 
 class TestMobiusCommands:
     def test_mobius_table(self, files, capsys):

@@ -207,3 +207,19 @@ def test_mask_poset_roundtrip_on_random_indices(idx):
     below = all5[idx % len(all5)]
     P = poset_from_masks(below)
     assert below_masks(P) == below
+
+
+@pytest.mark.parametrize(
+    "rows, labels, message",
+    [
+        ((2, 1), LABELS, "^mask rows are not a closed strict order: row 0 is 2$"),
+        ((0, 1, 2), LABELS, "^mask rows are not a closed strict order: row 2 is 2$"),
+        ((1,), LABELS, "^mask rows are not a closed strict order: row 0 is 1$"),
+        ((32, 0), LABELS, "^mask rows are not a closed strict order: row 0 is 32$"),
+        ((0, 0), "ba", "^mask indices must follow sorted label order$"),
+    ],
+    ids=["cycle", "not-closed", "reflexive", "bit-past-rows", "unsorted-labels"],
+)
+def test_poset_from_masks_rejects_invalid_rows(rows, labels, message):
+    with pytest.raises(PosetError, match=message):
+        poset_from_masks(rows, labels=labels)

@@ -107,6 +107,20 @@ class TestIsNonevasive:
         X = SimplicialComplex.simplex_boundary("abcde")
         assert is_nonevasive(X, SearchBudget(max_nodes=3)) is BUDGET_EXCEEDED
 
+    def test_long_path_within_the_recursion_bound(self):
+        # 512 vertices decide at the default recursion limit; more exceed the budget
+        budget = SearchBudget(max_vertices=5000)
+        for n, decided in ((512, True), (513, False), (1200, False)):
+            X = SimplicialComplex([[f"v{i:04d}", f"v{i + 1:04d}"] for i in range(n - 1)])
+            end = SimplicialComplex.point(f"v{n - 1:04d}")
+            w = is_nonevasive(X, budget)
+            cert = search_ne_reduction(X, end, budget)
+            if decided:
+                assert verify_witness(X, w)
+                assert verify_ne_certificate(X, end, cert)
+            else:
+                assert w is BUDGET_EXCEEDED and cert is BUDGET_EXCEEDED
+
     def test_void_rejected(self):
         from poset_collapse import VOID
 

@@ -18,11 +18,13 @@ from poset_collapse import (
 from poset_collapse.enumeration import (
     decreasing_tables,
     increasing_tables,
+    iter_posets,
     map_from_table,
     monotone_tables,
+    poset_from_masks,
 )
 
-from conftest import map_flags, posets
+from conftest import brute_chains, map_flags, posets
 
 
 def chain(labels="abc"):
@@ -70,6 +72,14 @@ class TestPosetConstruction:
             ["0", "1", "12"],
             ["0", "12", "2"],
         ]
+
+    def test_maximal_chains_match_brute_force(self):
+        for n in range(6):
+            for below in iter_posets(n):
+                P = poset_from_masks(below)
+                chains = brute_chains(P)
+                maximal = [c for c in chains if not any(c < d for d in chains)]
+                assert P.maximal_chains() == sorted(maximal, key=sorted)
 
 
 class TestOpenInterval:

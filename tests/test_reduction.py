@@ -387,6 +387,35 @@ class TestBuilderMatchesLabelReference:
             self.assert_same(P, phi, Q, emit_collapse=True)
 
 
+def long_deletion_chain(case):
+    # about 1,000 elements whose interval witnesses peel long deletion chains
+    mid = [f"a{i:03d}" for i in range(998)]
+    if case == "constant-top":  # 0 < a000..a997 < t, phi = t
+        lt = [("0", a) for a in mid] + [(a, "t") for a in mid]
+        P = Poset(["0", *mid, "t"], lt)
+        return P, PosetMap(P, {e: "t" for e in P.elements})
+    if case == "drop-b":  # 0 < b < c000..c998, b -> 0, the rest fixed
+        top = [f"c{i:03d}" for i in range(999)]
+        P = Poset(["0", "b", *top], [("0", "b")] + [("b", c) for c in top])
+        return P, PosetMap(P, {**{e: e for e in P.elements}, "b": "0"})
+    # z < 0 < a000..a997 < t, phi = t except z fixed
+    lt = [("z", "0")] + [("0", a) for a in mid] + [(a, "t") for a in mid]
+    P = Poset(["z", "0", *mid, "t"], lt)
+    return P, PosetMap(P, {**{e: "t" for e in P.elements}, "z": "z"})
+
+
+class TestLongDeletionChains:
+    # the builder walks deletion chains in loops, so its depth follows the height
+    @pytest.mark.parametrize("case", ["constant-top", "drop-b", "fixed-bottom"])
+    def test_reduce_and_verify(self, case):
+        P, phi = long_deletion_chain(case)
+        Q = phi.fixed_points()
+        report = theorem_reduce(P, phi, Q)
+        assert len(report.removal_order) == len(P) - len(Q)
+        X, Y = order_complex(P), order_complex(P.induced(Q))
+        assert verify_ne_certificate(X, Y, report.certificate)
+
+
 class TestWorkGuard:
     def test_grid_reduction_builds_one_map_and_one_order_complex(self, monkeypatch):
         P, phi = grid(4, 2)

@@ -3,6 +3,8 @@
 import ast
 import importlib
 import inspect
+import re
+from collections import Counter
 from pathlib import Path
 
 import poset_collapse
@@ -73,3 +75,25 @@ def test_benchmark_workload_names_resolve():
     missing = sorted(f"{m}.{name}" for m, name in used
                      if not hasattr(importlib.import_module(f"poset_collapse.{m}"), name))
     assert len(used) > 20 and not missing, f"names the workloads use are gone: {missing}"
+
+
+def test_every_definition_is_named_somewhere_else():
+    # a function, method or class that no code, test or benchmark names is dead
+    roots = (SRC, Path(__file__).resolve().parent, PERFBENCH)
+    words = {}  # (path, line number) -> the words on that line
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            for no, line in enumerate(path.read_text().splitlines(), 1):
+                words[path, no] = re.findall(r"\w+", line)
+    count = Counter(w for line in words.values() for w in line)
+    dead = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = node.name
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                if count[name] == words[path, node.lineno].count(name):
+                    dead.append(f"{path.name}:{node.lineno} {name}")
+    assert not dead, f"defined but named nowhere else: {dead}"
