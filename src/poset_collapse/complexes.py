@@ -165,9 +165,10 @@ def induced_subcomplex(X: SimplicialComplex, labels: Iterable[str]) -> Simplicia
 # void complex.
 
 
-def _masks(X: SimplicialComplex) -> tuple[dict[str, int], frozenset[int]]:
-    """The bit of each vertex of X, and X's facets as masks over them."""
-    bits = {v: 1 << i for i, v in enumerate(X.vertices)}
+def _masks(X: SimplicialComplex, vertices=None) -> tuple[dict[str, int], frozenset[int]]:
+    """The bit of each vertex of X, or of each of `vertices` (a joint index
+    that covers X's), and X's facets as masks over them."""
+    bits = {v: 1 << i for i, v in enumerate(vertices or X.vertices)}
     return bits, frozenset(sum(bits[v] for v in f) for f in X.facets)
 
 

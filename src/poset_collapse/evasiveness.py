@@ -9,10 +9,18 @@ from scratch, so a verified object is trustworthy independently of how it was
 found.
 
 Deciding, searching, witness replay and certificate replay all run on int
-facet masks over the vertex index of the complex they start from
-(`complexes._masks`), not on `SimplicialComplex` objects: a link or deletion
-is a set comprehension over a few ints, and labels are looked up only for
-witness vertices and the final complex of a replay.
+facet masks over the vertex index of the complex they start from, or of both
+factors of a join (`complexes._masks`), not on `SimplicialComplex` objects: a
+link or deletion is a set comprehension over a few ints, and labels are looked
+up only for witness vertices and the final complex of a replay.
+
+Cones, join transport and witness replay are written once, in `_Kernel`,
+against five primitives of a state S, a complex in some encoding that is falsy
+when void: link(S, bit), delete(S, bit), support(S), point(bit) and over(Y, bit),
+the cone over Y with that apex.  `_Facets` encodes a complex by its facet
+masks; `reduction._IntervalBuilder` encodes the order complex of a subposet by
+its element mask.  The kernel walks explicit stacks, so no witness is too deep
+for it, and memoises cones, so equal subtrees are one object.
 
 Everything here is immutable and the operations are pure functions; searches
 are deterministic (vertices explored in label order) and budget-bounded.
@@ -20,6 +28,7 @@ are deterministic (vertices explored in label order) and budget-bounded.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -33,7 +42,6 @@ from .complexes import (
     _masks,
     _support,
     induced_subcomplex,
-    join,
     z2_betti,
 )
 
@@ -231,46 +239,112 @@ def is_nonevasive(X: SimplicialComplex, budget: SearchBudget = DEFAULT_BUDGET):
         return BUDGET_EXCEEDED
 
 
+# -- the witness kernel (see the module docstring) ---------------------------------
+
+
+class _Kernel:
+    __slots__ = ("labels", "bits", "_cones")
+
+    def __init__(self, labels: tuple[str, ...], bits: dict[str, int]):
+        self.labels = labels
+        self.bits = bits
+        self._cones: defaultdict[int, dict] = defaultdict(dict)
+
+    def cone(self, S, apex: int) -> Witness:
+        """The witness of the cone S with apex `labels[apex]`: remove the
+        non-apex vertices in label order.  Cones are memoised per kernel, so
+        equal subtrees of the witnesses it returns are one object."""
+        abit = 1 << apex
+        cones = self._cones[abit]
+        if S in cones:
+            return cones[S]
+        link, delete, support, labels = self.link, self.delete, self.support, self.labels
+        # every facet contains the apex iff the link equals the deletion; links
+        # and deletions of a cone keep its apex, so the root is checked alone
+        if not S or link(S, abit) != delete(S, abit):
+            raise ComplexError(f"{labels[apex]!r} is not an apex: some facet misses it")
+        stack = [(S, 0, None, None)]
+        while stack:
+            T, bit, lk, dl = stack.pop()
+            if bit:
+                cones[T] = SplitWitness(labels[bit.bit_length() - 1], cones[lk], cones[dl])
+            elif T not in cones:
+                rest = support(T) ^ abit
+                if not rest:
+                    cones[T] = PointWitness(labels[apex])
+                    continue
+                bit = rest & -rest
+                lk, dl = link(T, bit), delete(T, bit)
+                stack += ((T, bit, lk, dl), (dl, 0, None, None), (lk, 0, None, None))
+        return cones[S]
+
+    def join(self, X, w: Witness, Y) -> Witness:
+        """`join_witness` on states: check w on X, then transport it over Y."""
+        if self.support(X) & self.support(Y):
+            raise ComplexError("join requires disjoint vertex labels")
+        if not self._holds(X, w):
+            raise ComplexError("input witness does not verify")
+        return self._transport(w, Y, {})
+
+    def _transport(self, w: Witness, Y, done: dict) -> Witness:
+        # split nodes keep their vertex and each point p becomes the cone over Y
+        # with apex p; `done` is keyed by node id, as every node of the input is
+        # alive while the input is, and shared subtrees are transported once
+        bits, over, cone = self.bits, self.over, self.cone
+        stack = [(w, False)]
+        while stack:
+            v, ready = stack.pop()
+            if ready:
+                done[id(v)] = SplitWitness(v.vertex, done[id(v.link)], done[id(v.deletion)])
+            elif id(v) not in done:
+                if isinstance(v, PointWitness):
+                    bit = bits[v.vertex]
+                    done[id(v)] = cone(over(Y, bit), bit.bit_length() - 1)
+                else:
+                    stack += ((v, True), (v.deletion, False), (v.link, False))
+        return done[id(w)]
+
+    def _holds(self, S, w) -> bool:
+        # `verify_witness` on state S: replay one witness node at a time; a
+        # shared subtree is replayed once per state
+        bits, link, delete, point = self.bits, self.link, self.delete, self.point
+        seen = set()
+        stack = [(S, w)]
+        while stack:
+            S, w = stack.pop()
+            if isinstance(w, PointWitness):
+                if S != point(bits.get(w.vertex, 0)):
+                    return False
+                continue
+            if (S, id(w)) in seen:
+                continue
+            seen.add((S, id(w)))
+            # a non-witness, an unknown or absent vertex, or the only one, has a void link
+            bit = bits.get(w.vertex, 0) if isinstance(w, SplitWitness) else 0
+            lk = link(S, bit)
+            if not lk:
+                return False
+            stack += ((delete(S, bit), w.deletion), (lk, w.link))
+        return True
+
+
+class _Facets(_Kernel):
+    """The kernel on facet masks over one vertex index (`complexes._masks`)."""
+
+    __slots__ = ()
+    link = staticmethod(_link_m)
+    delete = staticmethod(_delete_m)
+    support = staticmethod(_support)
+    point = staticmethod(lambda bit: frozenset((bit,)))
+    over = staticmethod(lambda Y, bit: frozenset(f | bit for f in Y))
+
+
 def cone_witness(X: SimplicialComplex, apex: str) -> Witness:
     """Canonical witness for a cone: remove non-apex vertices in label order."""
-    if any(apex not in f for f in X.facets):
-        raise ComplexError(f"{apex!r} is not an apex: some facet misses it")
-    bits, F = _masks(X)
-    return _cone_witness(F, bits[apex], X.vertices)
-
-
-def _cone_witness(F: frozenset, apex: int, labels: tuple[str, ...]) -> Witness:
-    rest = _support(F) ^ apex
-    if not rest:
-        return PointWitness(labels[apex.bit_length() - 1])
-    bit = rest & -rest
-    # the link is a cone with the same apex: every facet containing v contains apex
-    return SplitWitness(
-        labels[bit.bit_length() - 1],
-        _cone_witness(_link_m(F, bit), apex, labels),
-        _cone_witness(_delete_m(F, bit), apex, labels),
-    )
-
-
-def _witness_holds(F: frozenset, w, bits: dict[str, int]) -> bool:
-    # replay the recursion on masks, one witness node at a time
-    stack = [(F, w)]
-    while stack:
-        F, w = stack.pop()
-        if isinstance(w, PointWitness):
-            if F != {bits.get(w.vertex)}:
-                return False
-            continue
-        if not isinstance(w, SplitWitness):
-            return False
-        # an unknown or absent vertex, or the only one, has a void link
-        bit = bits.get(w.vertex, 0)
-        lk = _link_m(F, bit)
-        if not lk:
-            return False
-        stack.append((_delete_m(F, bit), w.deletion))
-        stack.append((lk, w.link))
-    return True
+    # an unknown apex gets a bit of its own, which no facet holds
+    vertices = X.vertices if apex in X.vertices else (*X.vertices, apex)
+    bits, F = _masks(X, vertices)
+    return _Facets(vertices, bits).cone(F, vertices.index(apex))
 
 
 def verify_witness(X, w) -> bool:
@@ -278,7 +352,10 @@ def verify_witness(X, w) -> bool:
     if not isinstance(X, SimplicialComplex):
         return False
     bits, F = _masks(X)
-    return _witness_holds(F, w, bits)
+    try:
+        return _Facets(X.vertices, bits)._holds(F, w)
+    except TypeError:  # an unhashable vertex label
+        return False
 
 
 # -- NE-reduction certificates ---------------------------------------------------
@@ -292,12 +369,16 @@ def replay_certificate(X: SimplicialComplex, cert: NECertificate):
     if not isinstance(X, SimplicialComplex):
         return None
     bits, F = _masks(X)
-    for x, w in cert.steps():
-        bit = bits.get(x, 0)
-        lk = _link_m(F, bit)
-        if not lk or not _witness_holds(lk, w, bits):
-            return None
-        F = _delete_m(F, bit)
+    kernel = _Facets(X.vertices, bits)
+    try:
+        for x, w in cert.steps():
+            bit = bits.get(x, 0)
+            lk = _link_m(F, bit)
+            if not lk or not kernel._holds(lk, w):
+                return None
+            F = _delete_m(F, bit)
+    except TypeError:  # an unhashable vertex label
+        return None
     return SimplicialComplex([_face(f, X.vertices) for f in F])
 
 
@@ -318,11 +399,11 @@ def search_ne_reduction(
     for f in Y.facets:
         if not X.has_face(f):
             raise ComplexError("target is not a subcomplex of the source")
-    if len(X.vertices) > min(budget.max_vertices, _RECURSION_VERTICES):
-        return BUDGET_EXCEEDED
     if induced_subcomplex(X, Y.vertices) != Y:
         # vertex removals always land on induced subcomplexes
         return NOT_FOUND
+    if len(X.vertices) > min(budget.max_vertices, _RECURSION_VERTICES):
+        return BUDGET_EXCEEDED
     bits, F = _masks(X)
     labels = X.vertices
     keep = sum(bits[v] for v in Y.vertices)
@@ -368,30 +449,24 @@ def search_ne_reduction(
 def join_witness(X: SimplicialComplex, w: Witness, Y: SimplicialComplex) -> Witness:
     """Transport a witness for X to one for X*Y: split nodes keep their vertex,
     and when X has shrunk to a point p the join is a cone with apex p."""
-    if set(X.vertices) & set(Y.vertices):
-        raise ComplexError("join requires disjoint vertex labels")
-    if not verify_witness(X, w):
-        raise ComplexError("input witness does not verify")
-    return _join_witness(w, Y)
-
-
-def _join_witness(w: Witness, Y: SimplicialComplex) -> Witness:
-    if isinstance(w, PointWitness):
-        return cone_witness(join(SimplicialComplex.point(w.vertex), Y), w.vertex)
-    return SplitWitness(w.vertex, _join_witness(w.link, Y), _join_witness(w.deletion, Y))
+    vertices = tuple(sorted({*X.vertices, *Y.vertices}))  # a shared label shares its bit
+    bits, FX = _masks(X, vertices)
+    return _Facets(vertices, bits).join(FX, w, _masks(Y, vertices)[1])
 
 
 def lift_certificate_over_join(
     X1: SimplicialComplex, cert: NECertificate, Y: SimplicialComplex
 ) -> NECertificate:
     """From X1 NE-reducing to X2, certify X1*Y NE-reducing to X2*Y: the removal
-    order is unchanged and each step witness is joined with Y."""
+    order is unchanged and each step witness is joined with Y, in one kernel."""
     if set(X1.vertices) & set(Y.vertices):
         raise ComplexError("join requires disjoint vertex labels")
     if replay_certificate(X1, cert) is None:
         raise ComplexError("input certificate does not verify")
-    lifted = tuple(_join_witness(w, Y) for w in cert.witnesses)
-    return NECertificate(cert.removed, lifted)
+    vertices = tuple(sorted({*X1.vertices, *Y.vertices}))
+    bits, FY = _masks(Y, vertices)
+    kernel, done = _Facets(vertices, bits), {}
+    return NECertificate(cert.removed, tuple(kernel._transport(w, FY, done) for w in cert.witnesses))
 
 
 # -- common expansions (zigzag merging) ------------------------------------------
@@ -482,35 +557,23 @@ def classify_ne_equivalence(
             if not isinstance(nonevasive[i], _Outcome) and not isinstance(nonevasive[j], _Outcome):
                 union(i, j)  # both reduce to a point; points are all equivalent
                 continue
-            linked = False
+            # this also finds a reduction of one complex onto the other: the
+            # shared part is then all of the target, reached in no steps
             Xi, Xj = family[i], family[j]
-            for src, dst in ((Xi, Xj), (Xj, Xi)):
-                if set(dst.vertices) <= set(src.vertices):
-                    try:
-                        res = search_ne_reduction(src, dst, budget)
-                    except ComplexError:
-                        continue
-                    if res is BUDGET_EXCEEDED:
+            shared = set(Xi.vertices) & set(Xj.vertices)
+            if shared:
+                Bi = induced_subcomplex(Xi, shared)
+                Bj = induced_subcomplex(Xj, shared)
+                if Bi == Bj and not isinstance(Bi, VoidComplex):
+                    ri = search_ne_reduction(Xi, Bi, budget)
+                    rj = search_ne_reduction(Xj, Bj, budget)
+                    if ri is BUDGET_EXCEEDED or rj is BUDGET_EXCEEDED:
                         budget_hit = True
-                    elif isinstance(res, NECertificate):
-                        linked = True
-                        break
-            if not linked:
-                shared = set(Xi.vertices) & set(Xj.vertices)
-                if shared:
-                    Bi = induced_subcomplex(Xi, shared)
-                    Bj = induced_subcomplex(Xj, shared)
-                    if Bi == Bj and not isinstance(Bi, VoidComplex):
-                        ri = search_ne_reduction(Xi, Bi, budget)
-                        rj = search_ne_reduction(Xj, Bj, budget)
-                        if ri is BUDGET_EXCEEDED or rj is BUDGET_EXCEEDED:
-                            budget_hit = True
-                        elif isinstance(ri, NECertificate) and isinstance(rj, NECertificate):
-                            common_expansion(Xi, Bi, Xj, ri, rj)
-                            linked = True
-            if linked:
-                union(i, j)
-            elif budget_hit:
+                    elif isinstance(ri, NECertificate) and isinstance(rj, NECertificate):
+                        common_expansion(Xi, Bi, Xj, ri, rj)
+                        union(i, j)
+                        continue
+            if budget_hit:
                 undecided.append((i, j))
 
     groups: dict[int, list[int]] = {}

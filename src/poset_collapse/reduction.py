@@ -16,19 +16,23 @@ complexes, for S a set of elements and v in S:
   elements comparable to v, other than v;
 - the deletion of v from Delta(S) is Delta(S - v).
 
-So a subposet is one int, a link is one AND, a deletion is one XOR, and the
+So a subposet is one int, a link or a deletion is one AND, and the
 label-least element is the lowest bit; no induced poset, order complex or
-`PosetMap` is built per removed element.
+`PosetMap` is built per removed element.  `_IntervalBuilder` hands these
+operations to the witness kernel of `evasiveness`, which builds the cones and
+checks and transports witnesses over joins on explicit stacks; only
+`descending` recurses, once per level of the poset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import or_
 from typing import Iterable, Optional, Sequence
 
 from .collapse import CollapseSequence, certificate_to_collapse
-from .complexes import ComplexError, order_complex
-from .evasiveness import NECertificate, PointWitness, SplitWitness, Witness
+from .complexes import order_complex
+from .evasiveness import NECertificate, SplitWitness, Witness, _Kernel
 from .poset import Poset, PosetError, PosetMap, _table_power, stabilize
 
 
@@ -48,44 +52,25 @@ class ReductionReport:
     collapse: Optional[CollapseSequence] = None
 
 
-class _IntervalBuilder:
+class _IntervalBuilder(_Kernel):
     """Interval witnesses in one poset P under one int table g over P's
-    sorted elements; subposets of P are element masks.  Cones are memoised
-    per builder, so equal subtrees of the witnesses it returns are shared."""
+    sorted elements.  The witness kernel runs on element masks: a state S is
+    Delta(S), by the two facts of the module docstring."""
 
-    __slots__ = ("labels", "index", "down", "up", "comp", "g", "_cones")
+    __slots__ = ("down", "up", "comp", "g")
 
     def __init__(self, P: Poset, g: Sequence[int]):
-        self.labels = P.elements
-        self.index = P._index
-        self.down = P._below
-        self.up = P._above
-        self.comp = tuple(d | u for d, u in zip(P._below, P._above))
-        self.g = g
-        self._cones: dict[tuple[int, int], Witness] = {}
+        bits = {e: 1 << i for i, e in enumerate(P.elements)}
+        super().__init__(P.elements, bits)
+        self.down, self.up, self.g = P._below, P._above, g
+        self.comp = dict(zip(bits.values(), map(or_, P._below, P._above)))
 
-    def cone(self, S: int, apex: int) -> Witness:
-        """The witness of `cone_witness(Delta(S), apex)`: remove the non-apex
-        elements in label order.  The deletions run in a loop and only the
-        links recurse, so the depth is bounded by the height of S."""
-        cones, comp, labels = self._cones, self.comp, self.labels
-        abit = 1 << apex
-        splits = []
-        while (S, apex) not in cones:
-            # apex lies in every maximal chain of S iff it is comparable to all of S
-            if S & ~comp[apex] != abit:
-                raise ComplexError(f"{labels[apex]!r} is not an apex: some facet misses it")
-            rest = S ^ abit
-            if not rest:
-                cones[(S, apex)] = PointWitness(labels[apex])
-                break
-            v = (rest & -rest).bit_length() - 1
-            splits.append((S, v, self.cone(S & comp[v], apex)))
-            S ^= 1 << v
-        w = cones[(S, apex)]
-        for S, v, wl in reversed(splits):
-            w = cones[(S, apex)] = SplitWitness(labels[v], wl, w)
-        return w
+    def link(self, S: int, bit: int) -> int:
+        return S & self.comp[bit] if S & bit else 0  # void when bit is not in S
+
+    delete = staticmethod(lambda S, bit: S & ~bit)
+    support = point = staticmethod(lambda S: S)  # a mask is its own support
+    over = staticmethod(or_)  # Delta(Y | p) for p comparable to all of Y
 
     def descending(self, B: int, top: int, down: Sequence[int], up: Sequence[int]) -> Witness:
         """Witness that Delta(B) is nonevasive, for B an open lower interval
@@ -130,59 +115,6 @@ class _IntervalBuilder:
         if other:
             w = self.join(B, w, other)
         return w
-
-    def join(self, X: int, w: Witness, Y: int) -> Witness:
-        """`join_witness(Delta(X), w, Delta(Y))` for X entirely below or
-        entirely above Y, so that the join is Delta(X | Y): split nodes keep
-        their vertex, and each point p becomes the cone Delta(Y | p) with
-        apex p."""
-        if X & Y:
-            raise ComplexError("join requires disjoint vertex labels")
-        if not self._holds(X, w):
-            raise ComplexError("input witness does not verify")
-        return self._transport(w, Y, {})
-
-    def _transport(self, w: Witness, Y: int, done: dict) -> Witness:
-        # `done` is keyed by node id: every node of the input is alive while the input
-        # is, and shared subtrees are transported once; only links recurse
-        splits = []
-        out = done.get(id(w))
-        while out is None and isinstance(w, SplitWitness):
-            splits.append((w, self._transport(w.link, Y, done)))
-            w = w.deletion
-            out = done.get(id(w))
-        if out is None:
-            p = self.index[w.vertex]
-            out = done[id(w)] = self.cone(Y | 1 << p, p)
-        for s, wl in reversed(splits):
-            out = done[id(s)] = SplitWitness(s.vertex, wl, out)
-        return out
-
-    def _holds(self, S: int, w: Witness) -> bool:
-        # `verify_witness(Delta(S), w)` by the two facts of the module
-        # docstring; a shared subtree is replayed once per element mask
-        index, comp = self.index, self.comp
-        seen = set()
-        stack = [(S, w)]
-        while stack:
-            S, w = stack.pop()
-            if (S, id(w)) in seen:
-                continue
-            seen.add((S, id(w)))
-            i = index.get(w.vertex)
-            if i is None:
-                return False
-            bit = 1 << i
-            if isinstance(w, PointWitness):
-                if S != bit:
-                    return False
-                continue
-            # an absent vertex, or one comparable to nothing left, has a void link
-            if not S & bit or not S & comp[i]:
-                return False
-            stack.append((S ^ bit, w.deletion))
-            stack.append((S & comp[i], w.link))
-        return True
 
 
 def interval_witness(P: Poset, phi: PosetMap, x: str) -> Witness:

@@ -8,13 +8,16 @@ import hypothesis.strategies as st
 
 from poset_collapse import (
     VOID,
+    ComplexError,
     PointWitness,
     Poset,
     SimplicialComplex,
     SplitWitness,
     delete_vertex,
+    join,
     link,
 )
+from poset_collapse.complexes import _delete_m, _link_m, _masks, _support
 from poset_collapse.poset import _above_masks as above_masks
 
 LABELS = "abcdefghij"
@@ -130,6 +133,36 @@ def ref_map_tables(below: tuple[int, ...], candidates: list[int]) -> list[tuple[
 
     rec(0)
     return out
+
+
+def ref_cone_witness(X: SimplicialComplex, apex: str):
+    """The canonical cone witness by plain recursion on facet masks, without
+    a memo; the reference for `evasiveness.cone_witness`."""
+    if any(apex not in f for f in X.facets):
+        raise ComplexError(f"{apex!r} is not an apex: some facet misses it")
+    bits, F = _masks(X)
+    return _ref_cone(F, bits[apex], X.vertices)
+
+
+def _ref_cone(F: frozenset, apex: int, labels: tuple[str, ...]):
+    rest = _support(F) ^ apex
+    if not rest:
+        return PointWitness(labels[apex.bit_length() - 1])
+    bit = rest & -rest
+    # the link is a cone with the same apex: every facet containing v contains apex
+    return SplitWitness(
+        labels[bit.bit_length() - 1],
+        _ref_cone(_link_m(F, bit), apex, labels),
+        _ref_cone(_delete_m(F, bit), apex, labels),
+    )
+
+
+def ref_join_witness(w, Y: SimplicialComplex):
+    """A witness for X joined with Y from a witness w for X, by recursion on
+    w, with a labelled join per point; the reference for `join_witness`."""
+    if isinstance(w, PointWitness):
+        return ref_cone_witness(join(SimplicialComplex.point(w.vertex), Y), w.vertex)
+    return SplitWitness(w.vertex, ref_join_witness(w.link, Y), ref_join_witness(w.deletion, Y))
 
 
 def split_chain(n, along):

@@ -207,6 +207,14 @@ class TestComplexCommands:
         argv = [str(tmp / a) if a.endswith(".json") else a for a in argv]
         assert run(argv + ["--complex", cx], capsys)[:2] == (code, ser.dumps({"status": status, "seed": 0}))
 
+    def test_non_induced_target_is_not_found_past_the_vertex_budget(self, files, capsys):
+        # vertex removals only reach induced subcomplexes, so no search is needed
+        tmp, write = files
+        cx = write("big.json", {"facets": [[f"v{i:02d}" for i in range(20)]]})
+        target = write("path.json", {"facets": [["v00", "v01"], ["v01", "v02"]]})
+        got = run(["ne-search", "--complex", cx, "--target", target], capsys)
+        assert got == (1, ser.dumps({"status": "not-found", "seed": 0}), "")
+
     def test_order_complex_of_a_long_chain(self, files, capsys):
         tmp, write = files
         labels = [f"c{i:04d}" for i in range(1200)]

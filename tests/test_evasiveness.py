@@ -39,7 +39,14 @@ from poset_collapse import (
 from poset_collapse.complexes import _delete_m, _face, _link_m, _masks
 from poset_collapse.enumeration import complex_from_masks, iter_antichain_complexes
 
-from conftest import betti_equal, complexes, naive_nonevasive, split_chain
+from conftest import (
+    betti_equal,
+    complexes,
+    naive_nonevasive,
+    ref_cone_witness,
+    ref_join_witness,
+    split_chain,
+)
 
 
 def boundary():
@@ -502,3 +509,84 @@ class TestKernelMatchesLabelReference:
         if len(X.vertices) > 1:
             rest = _delete_m(F, bits[v])
             assert frozenset(_face(f, X.vertices) for f in rest) == delete_vertex(X, v).facets
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ComplexError as e:
+        return str(e)
+
+
+JOIN_FACTORS = [
+    SimplicialComplex.point("x"),
+    SimplicialComplex([["x"], ["y"]]),
+    SimplicialComplex([["x", "y"], ["y", "z"]]),
+]
+
+
+class TestKernelMatchesRecursiveReference:
+    """The stack-based witness kernel builds the trees of the plain recursions."""
+
+    def test_cones_and_joins_on_every_complex_up_to_five_vertices(self):
+        joined = 0
+        for masks in iter_antichain_complexes(5):
+            X = complex_from_masks(masks)
+            for apex in X.vertices + ("q",):
+                assert outcome(cone_witness, X, apex) == outcome(ref_cone_witness, X, apex)
+            w = is_nonevasive(X)
+            if w is EVASIVE:
+                continue
+            for Y in JOIN_FACTORS:
+                assert join_witness(X, w, Y) == ref_join_witness(w, Y)
+                joined += 1
+        assert joined == 3 * 1466
+
+
+def star(leaves):
+    return SimplicialComplex([["a", f"v{i:04d}"] for i in range(leaves)])
+
+
+class TestKernelDepth:
+    """Deletion chains past the default recursion limit."""
+
+    def test_cone_and_join_on_a_1100_leaf_star(self):
+        X = star(1100)
+        w = cone_witness(X, "a")
+        assert verify_witness(X, w)
+        Y = JOIN_FACTORS[1]
+        assert verify_witness(join(X, Y), join_witness(X, w, Y))
+
+    def test_lifted_steps_share_one_witness(self):
+        X = star(1100)
+        cert = NECertificate(tuple(v for v in X.vertices if v != "a"), tuple(PointWitness("a") for _ in range(1100)))
+        Y = JOIN_FACTORS[2]
+        lifted = lift_certificate_over_join(X, cert, Y)
+        first = lifted.witnesses[0]
+        assert all(w is first for w in lifted.witnesses)
+        assert verify_ne_certificate(join(X, Y), join(SimplicialComplex.point("a"), Y), lifted)
+
+    def test_cone_on_a_1200_vertex_simplex(self):
+        X = SimplicialComplex.simplex(f"v{i:04d}" for i in range(1200))
+        assert verify_witness(X, cone_witness(X, "v0000"))
+
+
+class TestUnhashableLabels:
+    @pytest.mark.parametrize(
+        "w", [PointWitness(["a"]), SplitWitness(["a"], PointWitness("b"), PointWitness("b"))], ids=["point", "split"]
+    )
+    def test_witness_is_false_not_an_error(self, w):
+        assert not verify_witness(SimplicialComplex([["a", "b"]]), w)
+
+    def test_certificate_is_none_not_an_error(self):
+        X = SimplicialComplex([["a", "b"]])
+        cert = NECertificate((["a"],), (PointWitness("b"),))
+        assert replay_certificate(X, cert) is None
+        assert not verify_ne_certificate(X, X, cert)
+
+
+def test_non_induced_target_is_not_found_past_the_vertex_budget():
+    # vertex removals only reach induced subcomplexes, so no search is needed
+    X = SimplicialComplex.simplex(f"v{i:02d}" for i in range(20))
+    Y = SimplicialComplex([["v00", "v01"], ["v01", "v02"]])
+    assert search_ne_reduction(X, Y) is NOT_FOUND

@@ -97,3 +97,43 @@ def test_every_definition_is_named_somewhere_else():
                 if count[name] == words[path, node.lineno].count(name):
                     dead.append(f"{path.name}:{node.lineno} {name}")
     assert not dead, f"defined but named nowhere else: {dead}"
+
+
+# Every function in the package that calls itself, with what bounds its depth.
+# A recursion that the input size alone bounds would hit the interpreter's
+# limit, so the witness kernel walks explicit stacks and is not listed.
+RECURSIVE = {
+    "enumeration.iter_posets",  # n, the number of elements
+    "enumeration.iter_antichain_complexes.rec",  # the facets chosen so far
+    "evasiveness._decide",  # at most 512 vertices, the NE searches' cap
+    "evasiveness.search_ne_reduction.dfs",  # at most 512 vertices, the same cap
+    "reduction._IntervalBuilder.descending",  # the height of the poset (ROADMAP 4(b))
+}
+
+
+def _calls_itself(fn):
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name) and f.id == fn.name:
+                return True
+            if isinstance(f, ast.Attribute) and f.attr == fn.name and getattr(f.value, "id", None) == "self":
+                return True
+    return False
+
+
+def test_direct_recursion_is_on_the_allow_list():
+    found = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            name = prefix
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                if not isinstance(child, ast.ClassDef) and _calls_itself(child):
+                    found.add(name)
+            visit(child, name)
+
+    for path in sorted(SRC.rglob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    assert found == RECURSIVE
