@@ -2,8 +2,8 @@
 
 A free face is a face with exactly one proper coface; removing the open pair
 is an elementary collapse.  Replay, search and the one-shot helpers all step
-a FaceStore, which keeps every face with its number of codimension-one
-cofaces, so a step touches O(dim) faces and never rebuilds the complex.
+one FaceStore of int face masks (see there) and translate labels only at the
+edges: the steps in, and the found path or free pairs out.
 
 The constructive content of "NE-reduction implies
 collapse": a nonevasive link witness for a vertex v compiles into a collapse
@@ -64,64 +64,77 @@ class CollapseSequence:
         return iter(self.steps)
 
 
-def _face_key(f: frozenset) -> tuple:
-    return tuple(sorted(f))
+def _mask(face, bits: dict[str, int]) -> int:
+    # the mask of a labelled face; -1, which is no face, if a label is unknown
+    m = 0
+    for v in face:
+        m |= bits.get(v, -1)
+    return m
 
 
 class FaceStore:
-    """Mutable face set of a complex, each face mapped to its number of
+    """Mutable face set of a complex, as int masks over its sorted vertex index
+    (callers translate labels), each face mapped to its number of
     codimension-one cofaces (the Hasse diagram of the face poset, by counts).
 
     A face tau is free iff its count is 1: any larger coface would contain two
     codimension-one cofaces of tau.  Its one coface sigma then has count 0.
     The facets are the faces of count 0 and are kept as a set.  Checking and
-    removing a pair cost O(dim) set operations, not a rebuild of the complex.
+    removing a pair cost O(dim) int operations, not a rebuild of the complex.
     """
 
     __slots__ = ("up", "facets")
 
-    def __init__(self, faces):
-        """`faces` must be closed under taking nonempty subsets."""
-        up = dict.fromkeys(faces, 0)
+    def __init__(self, F):
+        """`F` are the facet masks; the store holds all their submasks."""
+        up = {}
+        for f in F:
+            s = f
+            while s:  # the submasks of f, by submask enumeration
+                up[s] = 0
+                s = (s - 1) & f
         for f in up:
-            if len(f) > 1:
-                for v in f:
-                    up[f - {v}] += 1
+            rest = f if f & (f - 1) else 0  # a vertex has no nonempty facet
+            while rest:
+                low = rest & -rest
+                up[f ^ low] += 1
+                rest ^= low
         self.up = up
         self.facets = {f for f, c in up.items() if not c}
 
-    def is_free(self, tau: frozenset, sigma: frozenset) -> bool:
+    def is_free(self, tau: int, sigma: int) -> bool:
         up = self.up
         return (
             up.get(tau) == 1
             and up.get(sigma) == 0
-            and len(sigma) == len(tau) + 1
-            and tau < sigma
+            and tau & sigma == tau
+            and (sigma ^ tau).bit_count() == 1
         )
 
-    def free_pairs(self) -> list[Step]:
-        """All free pairs, in lexicographic order of the free face."""
+    def free_pairs(self) -> list[tuple[int, int]]:
+        """All free pairs, in lexicographic order of the free face's labels."""
         up = self.up
         out = []
         for sigma in self.facets:
-            for v in sigma:
-                tau = sigma - {v}
+            for tau in self._boundary(0, sigma):  # the nonempty facets of sigma
                 if up.get(tau) == 1:
                     out.append((tau, sigma))
-        out.sort(key=lambda p: _face_key(p[0]))
+        # tau's bits from bit 0 up, with "2" for an absent vertex, sort as its labels do
+        out.sort(key=lambda p: bin(p[0])[:1:-1].replace("0", "2"))
         return out
 
-    def _boundary(self, tau: frozenset, sigma: frozenset):
-        # the faces whose coface count a collapse of (tau, sigma) changes
-        for v in sigma:
-            f = sigma - {v}
-            if f != tau:
-                yield f
-        if len(tau) > 1:
-            for v in tau:
-                yield tau - {v}
+    def _boundary(self, tau: int, sigma: int):
+        # the faces whose coface count a collapse of (tau, sigma) changes:
+        # the nonempty facets of sigma other than tau, then those of tau
+        for face in (sigma, tau):
+            rest = face
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if face ^ low not in (0, tau):
+                    yield face ^ low
 
-    def remove(self, tau: frozenset, sigma: frozenset) -> None:
+    def remove(self, tau: int, sigma: int) -> None:
         """Collapse the free pair (tau, sigma); the caller checks freeness."""
         up, facets = self.up, self.facets
         del up[tau], up[sigma]
@@ -132,7 +145,7 @@ class FaceStore:
             if not c:
                 facets.add(f)
 
-    def restore(self, tau: frozenset, sigma: frozenset) -> None:
+    def restore(self, tau: int, sigma: int) -> None:
         """Undo remove(tau, sigma)."""
         up, facets = self.up, self.facets
         for f in self._boundary(tau, sigma):
@@ -148,32 +161,39 @@ class FaceStore:
 def free_pairs(X: SimplicialComplex) -> list[Step]:
     """All (tau, sigma) with sigma the unique face properly containing tau,
     in lexicographic order."""
-    return FaceStore(X.faces()).free_pairs()
+    return list(_label_steps(FaceStore(_masks(X)[1]).free_pairs(), X.vertices))
 
 
 def apply_collapse(X: SimplicialComplex, tau: frozenset, sigma: frozenset) -> SimplicialComplex:
     """Remove the open faces tau and sigma; the complex spanned by the rest."""
-    tau, sigma = frozenset(tau), frozenset(sigma)
-    store = FaceStore(X.faces())
-    if not store.is_free(tau, sigma):
+    bits, F = _masks(X)
+    store = FaceStore(F)
+    t, s = _mask(tau, bits), _mask(sigma, bits)
+    if not store.is_free(t, s):
         raise ComplexError(f"({sorted(tau)}, {sorted(sigma)}) is not a free pair")
-    store.remove(tau, sigma)
-    return SimplicialComplex(store.facets)
+    store.remove(t, s)
+    return SimplicialComplex(_face(f, X.vertices) for f in store.facets)
 
 
 def verify_collapse(X, Y, seq) -> bool:
     """Replay semantics: every step must be free and the end state must equal Y.
 
     The replay runs on one FaceStore of X, independent of how seq was built."""
-    if not isinstance(seq, CollapseSequence) or not isinstance(X, SimplicialComplex):
+    both_complexes = isinstance(X, SimplicialComplex) and isinstance(Y, SimplicialComplex)
+    if not both_complexes or not isinstance(seq, CollapseSequence):
         return False
-    store = FaceStore(X.faces())
-    for tau, sigma in seq:
-        tau, sigma = frozenset(tau), frozenset(sigma)
-        if not store.is_free(tau, sigma):
-            return False
-        store.remove(tau, sigma)
-    return isinstance(Y, SimplicialComplex) and store.up.keys() == Y.faces()
+    bits, F = _masks(X)
+    store = FaceStore(F)
+    try:
+        for tau, sigma in seq:
+            t, s = _mask(tau, bits), _mask(sigma, bits)
+            if not store.is_free(t, s):
+                return False
+            store.remove(t, s)
+    except (TypeError, ValueError):  # a step that is not a pair, an unhashable label
+        return False
+    G = [_mask(g, bits) for g in Y.facets]  # -1 for a facet with a vertex X lacks
+    return -1 not in G and store.up.keys() == FaceStore(G).up.keys()
 
 
 def _star_collapse(F: frozenset, bit: int, w, lift: int, bits: dict, out: list) -> bool:
@@ -249,29 +269,30 @@ def search_collapse(X: SimplicialComplex, Y, budget: SearchBudget = DEFAULT_BUDG
     The search steps one FaceStore with remove/restore and keeps its open
     nodes on an explicit stack, so its depth is not limited by the
     interpreter's recursion limit.  Dead states are keyed on the facet set."""
+    F, store = _masks(X)[1], None
     if Y is not None:
         for f in Y.facets:
             if not X.has_face(f):
                 raise ComplexError("target is not a subcomplex of the source")
-        target_faces = Y.faces()
-        if (X.n_faces() - len(target_faces)) % 2 != 0:
+        store, target = FaceStore(F), FaceStore(_masks(Y, X.vertices)[1]).up
+        if (len(store.up) - len(target)) % 2 != 0:
             return NOT_FOUND
     if len(X.vertices) > budget.max_vertices:
         return BUDGET_EXCEEDED
     counter = _Counter(budget.max_nodes)
     dead: set = set()
-    store = FaceStore(X.faces())
+    store = store or FaceStore(F)
     # target faces are never removed, so the target is reached exactly when
     # the face counts agree; a single remaining face is a single point
-    goal = 1 if Y is None else len(target_faces)
-    path: list[Step] = []  # the steps from X to the current state
+    goal = 1 if Y is None else len(target)
+    path: list = []  # the mask steps from X to the current state
     frames: list = []  # per open node: its facet set and its untried pairs
     arrived = True
     try:
         while True:
             if arrived:
                 if len(store.up) == goal:
-                    return CollapseSequence(tuple(path))
+                    return _label_steps(path, X.vertices)
                 key = frozenset(store.facets)
                 if key in dead:
                     store.restore(*path.pop())
@@ -280,7 +301,7 @@ def search_collapse(X: SimplicialComplex, Y, budget: SearchBudget = DEFAULT_BUDG
                     pairs = store.free_pairs()
                     if Y is not None:
                         # sigma contains tau, so it is outside the target too
-                        pairs = [p for p in pairs if p[0] not in target_faces]
+                        pairs = [p for p in pairs if p[0] not in target]
                     frames.append((key, iter(pairs)))
             key, pairs = frames[-1]
             step = next(pairs, None)

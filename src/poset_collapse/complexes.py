@@ -1,10 +1,10 @@
 """Abstract simplicial complexes stored by maximal faces.
 
-Faces are frozensets of string vertex labels.  The complex with no vertices is
-not representable here; it is the distinguished singleton `VOID`, which link()
-returns for isolated vertices.  Order complexes have few maximal chains but
-exponentially many faces, so the full face set is materialized lazily and
-cached per instance.
+Faces are frozensets of string vertex labels; collapse replay and search and
+the witness kernel run on int masks (see "facet masks" below).  The complex
+with no vertices is not representable; it is the singleton `VOID`, which
+link() returns for isolated vertices.  Order complexes have few maximal chains
+but exponentially many faces, so the face set is built lazily and cached.
 """
 
 from __future__ import annotations

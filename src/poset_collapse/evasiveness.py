@@ -306,25 +306,28 @@ class _Kernel:
 
     def _holds(self, S, w) -> bool:
         # `verify_witness` on state S: replay one witness node at a time; a
-        # shared subtree is replayed once per state
+        # shared subtree is replayed once per state.  Malformed => False.
         bits, link, delete, point = self.bits, self.link, self.delete, self.point
         seen = set()
         stack = [(S, w)]
-        while stack:
-            S, w = stack.pop()
-            if isinstance(w, PointWitness):
-                if S != point(bits.get(w.vertex, 0)):
+        try:
+            while stack:
+                S, w = stack.pop()
+                if isinstance(w, PointWitness):
+                    if S != point(bits.get(w.vertex, 0)):
+                        return False
+                    continue
+                if (S, id(w)) in seen:
+                    continue
+                seen.add((S, id(w)))
+                # a non-witness, an unknown or absent vertex, or the only one, has a void link
+                bit = bits.get(w.vertex, 0) if isinstance(w, SplitWitness) else 0
+                lk = link(S, bit)
+                if not lk:
                     return False
-                continue
-            if (S, id(w)) in seen:
-                continue
-            seen.add((S, id(w)))
-            # a non-witness, an unknown or absent vertex, or the only one, has a void link
-            bit = bits.get(w.vertex, 0) if isinstance(w, SplitWitness) else 0
-            lk = link(S, bit)
-            if not lk:
-                return False
-            stack += ((delete(S, bit), w.deletion), (lk, w.link))
+                stack += ((delete(S, bit), w.deletion), (lk, w.link))
+        except TypeError:  # an unhashable vertex label
+            return False
         return True
 
 
@@ -341,10 +344,10 @@ class _Facets(_Kernel):
 
 def cone_witness(X: SimplicialComplex, apex: str) -> Witness:
     """Canonical witness for a cone: remove non-apex vertices in label order."""
-    # an unknown apex gets a bit of its own, which no facet holds
-    vertices = X.vertices if apex in X.vertices else (*X.vertices, apex)
-    bits, F = _masks(X, vertices)
-    return _Facets(vertices, bits).cone(F, vertices.index(apex))
+    # an unknown apex, unhashable ones too, gets a bit of its own, which no facet holds
+    bits, F = _masks(X)
+    i = X.vertices.index(apex) if apex in X.vertices else len(X.vertices)
+    return _Facets((*X.vertices, apex), bits).cone(F, i)
 
 
 def verify_witness(X, w) -> bool:
@@ -352,10 +355,7 @@ def verify_witness(X, w) -> bool:
     if not isinstance(X, SimplicialComplex):
         return False
     bits, F = _masks(X)
-    try:
-        return _Facets(X.vertices, bits)._holds(F, w)
-    except TypeError:  # an unhashable vertex label
-        return False
+    return _Facets(X.vertices, bits)._holds(F, w)
 
 
 # -- NE-reduction certificates ---------------------------------------------------
@@ -370,15 +370,12 @@ def replay_certificate(X: SimplicialComplex, cert: NECertificate):
         return None
     bits, F = _masks(X)
     kernel = _Facets(X.vertices, bits)
-    try:
-        for x, w in cert.steps():
-            bit = bits.get(x, 0)
-            lk = _link_m(F, bit)
-            if not lk or not kernel._holds(lk, w):
-                return None
-            F = _delete_m(F, bit)
-    except TypeError:  # an unhashable vertex label
-        return None
+    for x, w in cert.steps():
+        bit = bits[x] if x in X.vertices else 0  # an unhashable x is unknown too
+        lk = _link_m(F, bit)
+        if not lk or not kernel._holds(lk, w):
+            return None
+        F = _delete_m(F, bit)
     return SimplicialComplex([_face(f, X.vertices) for f in F])
 
 

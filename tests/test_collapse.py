@@ -38,7 +38,15 @@ from poset_collapse import (
     z2_betti,
 )
 from poset_collapse.collapse import FaceStore
-from poset_collapse.enumeration import iter_posets, map_from_table, monotone_tables, poset_from_masks
+from poset_collapse.complexes import _masks
+from poset_collapse.enumeration import (
+    complex_from_masks,
+    iter_antichain_complexes,
+    iter_posets,
+    map_from_table,
+    monotone_tables,
+    poset_from_masks,
+)
 
 from conftest import betti_equal, complexes
 
@@ -114,6 +122,21 @@ class TestVerifyCollapse:
             CollapseSequence(((frozenset({"a"}), frozenset({"a"})),))
         with pytest.raises(ValueError):
             CollapseSequence(((frozenset({"a"}), frozenset({"b", "c"})),))
+
+    @pytest.mark.parametrize(
+        "step",
+        [(frozenset("b"),), (frozenset("b"), frozenset("ab"), frozenset("abc")), frozenset("ab"), 7],
+        ids=["one-face", "three-faces", "a-face", "not-iterable"],
+    )
+    def test_a_step_that_is_not_a_pair_is_false(self, step):
+        X = SimplicialComplex([["a", "b"]])
+        assert not verify_collapse(X, SimplicialComplex.point("a"), unchecked_sequence([step]))
+
+    @pytest.mark.parametrize("tau", [[["b"]], [{"b": 1}]], ids=["list", "dict"])
+    def test_an_unhashable_label_is_false(self, tau):
+        X = SimplicialComplex([["a", "b"]])
+        seq = unchecked_sequence([(tau, ["a", "b"])])
+        assert not verify_collapse(X, SimplicialComplex.point("a"), seq)
 
 
 class TestWitnessCompilation:
@@ -435,16 +458,23 @@ def replay_scripts(draw):
     return X, steps, valid, cur
 
 
+def mask_store(X):
+    """A FaceStore of X and the mask of a labelled face over X's index; a
+    label X does not have gets a bit of its own, which no face holds."""
+    bits, F = _masks(X, X.vertices + tuple(v for v in "abcdef" if v not in X.vertices))
+    return FaceStore(F), lambda face: sum(bits[v] for v in face)
+
+
 class TestFaceStore:
     def test_counts_and_facets_of_a_triangle(self):
-        store = FaceStore(SimplicialComplex.simplex("abc").faces())
-        assert store.up[frozenset("a")] == 2
-        assert store.up[frozenset("ab")] == 1
-        assert store.facets == {frozenset("abc")}
+        store, mask = mask_store(SimplicialComplex.simplex("abc"))
+        assert store.up[mask("a")] == 2
+        assert store.up[mask("ab")] == 1
+        assert store.facets == {mask("abc")}
 
     def test_remove_then_restore_is_identity(self):
         X = annulus()
-        store = FaceStore(X.faces())
+        store = FaceStore(_masks(X)[1])
         before = dict(store.up), set(store.facets)
         for tau, sigma in store.free_pairs():
             store.remove(tau, sigma)
@@ -455,14 +485,14 @@ class TestFaceStore:
     @settings(max_examples=300, deadline=None)
     def test_store_replay_matches_rebuild_replay(self, script):
         X, steps, valid, end = script
-        store, cur = FaceStore(X.faces()), X
+        (store, mask), cur = mask_store(X), X
         for (tau, sigma), ok in zip(steps, valid):
-            assert store.is_free(tau, sigma) == rebuild_is_free(cur, tau, sigma) == ok
+            assert store.is_free(mask(tau), mask(sigma)) == rebuild_is_free(cur, tau, sigma) == ok
             if ok:
-                store.remove(tau, sigma)
+                store.remove(mask(tau), mask(sigma))
                 cur = rebuild_apply(cur, tau, sigma)
-                assert store.facets == set(cur.facets)
-                assert store.up.keys() == cur.faces()
+                assert store.facets == set(map(mask, cur.facets))
+                assert store.up.keys() == set(map(mask, cur.faces()))
         seq = unchecked_sequence(steps)
         for Y in (end, X, SimplicialComplex.point("a")):
             assert verify_collapse(X, Y, seq) == rebuild_verify(X, Y, steps)
@@ -472,6 +502,14 @@ class TestFaceStore:
     @settings(max_examples=100, deadline=None)
     def test_free_pairs_match_rebuild(self, X):
         assert free_pairs(X) == rebuild_free_pairs(X)
+
+    def test_every_complex_up_to_four_vertices_matches_rebuild(self):
+        family = [complex_from_masks(m) for m in iter_antichain_complexes(4)]
+        assert len(family) == 166
+        for X in family:
+            assert free_pairs(X) == rebuild_free_pairs(X)
+            budget = SearchBudget()
+            assert as_lists(search_collapse(X, None, budget)) == as_lists(rebuild_search(X, None, budget))
 
 
 def as_lists(result):

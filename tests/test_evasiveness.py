@@ -584,6 +584,17 @@ class TestUnhashableLabels:
         assert replay_certificate(X, cert) is None
         assert not verify_ne_certificate(X, X, cert)
 
+    def test_cone_apex_is_a_complex_error(self):
+        with pytest.raises(ComplexError, match="is not an apex"):
+            cone_witness(SimplicialComplex([["a", "b"]]), ["a"])
+
+    @pytest.mark.parametrize(
+        "w", [PointWitness(["a"]), SplitWitness(["a"], PointWitness("b"), PointWitness("b"))], ids=["point", "split"]
+    )
+    def test_join_input_is_a_complex_error(self, w):
+        with pytest.raises(ComplexError, match="does not verify"):
+            join_witness(SimplicialComplex([["a", "b"]]), w, SimplicialComplex.point("c"))
+
 
 def test_non_induced_target_is_not_found_past_the_vertex_budget():
     # vertex removals only reach induced subcomplexes, so no search is needed

@@ -23,6 +23,21 @@ def test_no_assert_statements():
     assert len(list(SRC.rglob("*.py"))) >= 10
 
 
+def test_collapse_never_builds_label_face_sets():
+    # replay and search step a FaceStore on int masks; labels are translated
+    # only at the edges, so no label face set may be built in the module
+    path = SRC / "collapse.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [
+        f"collapse.py:{node.lineno} .{node.func.attr}()"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("faces", "n_faces")
+    ]
+    assert not found, f"label face sets built in collapse.py: {found}"
+
+
 def _perfbench_constant(name, filename):
     # read from the benchmark's source with `ast`, without importing it
     path = PERFBENCH / filename
