@@ -9,8 +9,8 @@ The constructive content of "NE-reduction implies
 collapse": a nonevasive link witness for a vertex v compiles into a collapse
 of the closed star of v, where every elementary step (tau, sigma) of the link
 collapse lifts to (tau+{v}, sigma+{v}) and the terminal pair is ({v}, {v,p})
-for the witness's leaf point p.  The compiler runs on the int facet masks
-of `complexes._masks`, emits each step as a pair of masks with every
+for the witness's leaf point p.  The compiler runs on the complex's facet
+masks (`complexes._masks`), emits each step as a pair of masks with every
 enclosing star's vertex already added, and translates the steps to labels
 once at the end.  It checks each witness node as verify_witness does while
 it compiles it, so a certificate is walked once and a bad witness raises
@@ -24,10 +24,13 @@ from dataclasses import dataclass
 from .complexes import (
     ComplexError,
     SimplicialComplex,
+    _bit,
     _delete_m,
-    _face,
+    _faces_m,
     _link_m,
+    _mask,
     _masks,
+    _sub_masks,
     _support,
 )
 from .evasiveness import (
@@ -42,6 +45,7 @@ from .evasiveness import (
     _BudgetHit,
     _Counter,
 )
+from .poset import _mask_labels
 
 Step = tuple[frozenset, frozenset]
 
@@ -64,14 +68,6 @@ class CollapseSequence:
         return iter(self.steps)
 
 
-def _mask(face, bits: dict[str, int]) -> int:
-    # the mask of a labelled face; -1, which is no face, if a label is unknown
-    m = 0
-    for v in face:
-        m |= bits.get(v, -1)
-    return m
-
-
 class FaceStore:
     """Mutable face set of a complex, as int masks over its sorted vertex index
     (callers translate labels), each face mapped to its number of
@@ -87,12 +83,7 @@ class FaceStore:
 
     def __init__(self, F):
         """`F` are the facet masks; the store holds all their submasks."""
-        up = {}
-        for f in F:
-            s = f
-            while s:  # the submasks of f, by submask enumeration
-                up[s] = 0
-                s = (s - 1) & f
+        up = _faces_m(F)
         for f in up:
             rest = f if f & (f - 1) else 0  # a vertex has no nonempty facet
             while rest:
@@ -172,7 +163,7 @@ def apply_collapse(X: SimplicialComplex, tau: frozenset, sigma: frozenset) -> Si
     if not store.is_free(t, s):
         raise ComplexError(f"({sorted(tau)}, {sorted(sigma)}) is not a free pair")
     store.remove(t, s)
-    return SimplicialComplex(_face(f, X.vertices) for f in store.facets)
+    return SimplicialComplex._from_masks(X.vertices, frozenset(store.facets))
 
 
 def verify_collapse(X, Y, seq) -> bool:
@@ -190,10 +181,10 @@ def verify_collapse(X, Y, seq) -> bool:
             if not store.is_free(t, s):
                 return False
             store.remove(t, s)
-    except (TypeError, ValueError):  # a step that is not a pair, an unhashable label
+    except (TypeError, ValueError):  # a step that is not a pair of faces
         return False
-    G = [_mask(g, bits) for g in Y.facets]  # -1 for a facet with a vertex X lacks
-    return -1 not in G and store.up.keys() == FaceStore(G).up.keys()
+    G = _masks(Y, X.vertices)[1]  # None when Y has a vertex X lacks
+    return G is not None and store.up.keys() == _faces_m(G).keys()
 
 
 def _star_collapse(F: frozenset, bit: int, w, lift: int, bits: dict, out: list) -> bool:
@@ -216,33 +207,26 @@ def _point_collapse(F: frozenset, w, lift: int, bits: dict, out: list) -> int:
     # face lifted by `lift`; the point's bit, or 0 when w is no witness for F.
     # Each node is checked as verify_witness checks it.
     while isinstance(w, SplitWitness):
-        bit = bits.get(w.vertex, 0)
+        bit = _bit(bits, w.vertex)
         if not _star_collapse(F, bit, w.link, lift, bits, out):
             return 0
         F = _delete_m(F, bit)
         w = w.deletion
-    if isinstance(w, PointWitness) and F == {bits.get(w.vertex)}:
-        return bits[w.vertex]
-    return 0
+    bit = _bit(bits, w.vertex) if isinstance(w, PointWitness) else 0
+    return bit if F == {bit} else 0
 
 
 def _label_steps(out: list, labels: tuple[str, ...]) -> CollapseSequence:
     # in place, so each mask pair is freed as its labelled pair is built
     for i, (t, s) in enumerate(out):
-        tau = _face(t, labels)
+        tau = _mask_labels(t, labels)
         out[i] = (tau, tau | {labels[(s ^ t).bit_length() - 1]})
     return CollapseSequence(tuple(out))
 
 
 def witness_to_vertex_collapse(X: SimplicialComplex, v: str, w: Witness) -> CollapseSequence:
     """Collapse sequence realizing X down to X minus v, from a witness for lk_X v."""
-    if v not in X.vertices:
-        raise ComplexError(f"unknown vertex {v!r}")
-    bits, F = _masks(X)
-    out: list = []
-    if not _star_collapse(F, bits[v], w, 0, bits, out):
-        raise ComplexError("witness does not verify for the vertex link")
-    return _label_steps(out, X.vertices)
+    return certificate_to_collapse(X, NECertificate((v,), (w,)))
 
 
 def certificate_to_collapse(X: SimplicialComplex, cert: NECertificate) -> CollapseSequence:
@@ -253,7 +237,7 @@ def certificate_to_collapse(X: SimplicialComplex, cert: NECertificate) -> Collap
     bits, F = _masks(X)
     out: list = []
     for x, w in cert.steps():
-        bit = bits.get(x, 0)
+        bit = _bit(bits, x)
         if not _support(F) & bit:
             raise ComplexError(f"certificate removes unknown vertex {x!r}")
         if not _star_collapse(F, bit, w, 0, bits, out):
@@ -268,20 +252,20 @@ def search_collapse(X: SimplicialComplex, Y, budget: SearchBudget = DEFAULT_BUDG
 
     The search steps one FaceStore with remove/restore and keeps its open
     nodes on an explicit stack, so its depth is not limited by the
-    interpreter's recursion limit.  Dead states are keyed on the facet set."""
-    F, store = _masks(X)[1], None
-    if Y is not None:
-        for f in Y.facets:
-            if not X.has_face(f):
-                raise ComplexError("target is not a subcomplex of the source")
-        store, target = FaceStore(F), FaceStore(_masks(Y, X.vertices)[1]).up
-        if (len(store.up) - len(target)) % 2 != 0:
-            return NOT_FOUND
+    interpreter's recursion limit.  Dead states are keyed on the facet set.
+    An X over the vertex budget is BUDGET_EXCEEDED (CLI exit 3) before any
+    face store is built, also where an odd face-count difference would make
+    it NOT_FOUND (exit 1)."""
+    G = None if Y is None else _sub_masks(X, Y)
     if len(X.vertices) > budget.max_vertices:
         return BUDGET_EXCEEDED
+    store = FaceStore(_masks(X)[1])
+    if Y is not None:
+        target = _faces_m(G)
+        if (len(store.up) - len(target)) % 2 != 0:
+            return NOT_FOUND
     counter = _Counter(budget.max_nodes)
     dead: set = set()
-    store = store or FaceStore(F)
     # target faces are never removed, so the target is reached exactly when
     # the face counts agree; a single remaining face is a single point
     goal = 1 if Y is None else len(target)

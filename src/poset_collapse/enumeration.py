@@ -19,8 +19,8 @@ from __future__ import annotations
 from itertools import permutations, product
 from typing import Iterator
 
-from .complexes import ComplexError, SimplicialComplex
-from .poset import Poset, PosetError, PosetMap, _table_power
+from .complexes import ComplexError, SimplicialComplex, _maximalize
+from .poset import Poset, PosetError, PosetMap, _remap, _table_power
 from .poset import _above_masks as above_masks
 
 LABELS = "abcdefghij"
@@ -168,15 +168,8 @@ def _refine_invariants(below: tuple[int, ...]) -> list:
 
 def apply_perm(below: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
     """Relabel: new label perm[i] plays the role of old label i."""
-    n = len(below)
-    nb = [0] * n
-    for i in range(n):
-        m = below[i]
-        t = 0
-        while m:
-            j = (m & -m).bit_length() - 1
-            t |= 1 << perm[j]
-            m &= m - 1
+    nb = [0] * len(below)
+    for i, t in enumerate(_remap(below, [1 << p for p in perm])):
         nb[perm[i]] = t
     return tuple(nb)
 
@@ -240,8 +233,8 @@ def poset_from_masks(below: tuple[int, ...], labels: str = LABELS) -> Poset:
     if n > len(labels):
         raise PosetError(f"{n} mask rows but only {len(labels)} labels")
     chosen = tuple(labels[:n])
-    if list(chosen) != sorted(chosen):
-        raise PosetError("mask indices must follow sorted label order")
+    if list(chosen) != sorted(set(chosen)):
+        raise PosetError("mask indices must follow sorted, distinct label order")
     for i, row in enumerate(below):
         # a strict order's row has no bit past n or at i and contains the row of
         # each element it holds (so the order is closed, and with that acyclic)
@@ -266,16 +259,13 @@ def map_from_table(P: Poset, table: tuple[int, ...]) -> PosetMap:
 
 
 def complex_from_masks(facet_masks, labels: str = LABELS) -> SimplicialComplex:
-    width = len(labels)
-    faces = []
-    for mask in facet_masks:
-        if mask >> width:
-            raise ComplexError(f"facet mask {mask} has a vertex past the {width} labels")
-        face = []
-        m = mask
-        while m:
-            j = (m & -m).bit_length() - 1
-            face.append(labels[j])
-            m &= m - 1
-        faces.append(face)
-    return SimplicialComplex(faces)
+    """The complex with these face masks over `labels` (distinct and sorted),
+    checked and maximalized as the constructor does its faces."""
+    vertices = tuple(labels)
+    if list(vertices) != sorted(set(vertices)):
+        raise ComplexError("mask indices must follow sorted, distinct label order")
+    masks = list(facet_masks)
+    for mask in masks:
+        if mask >> len(vertices):
+            raise ComplexError(f"facet mask {mask} has a vertex past the {len(vertices)} labels")
+    return SimplicialComplex._from_masks(vertices, _maximalize(masks))

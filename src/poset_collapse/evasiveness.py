@@ -8,11 +8,10 @@ per step.  All verification is by replay: links and deletions are recomputed
 from scratch, so a verified object is trustworthy independently of how it was
 found.
 
-Deciding, searching, witness replay and certificate replay all run on int
-facet masks over the vertex index of the complex they start from, or of both
-factors of a join (`complexes._masks`), not on `SimplicialComplex` objects: a
-link or deletion is a set comprehension over a few ints, and labels are looked
-up only for witness vertices and the final complex of a replay.
+Deciding, searching, witness replay and certificate replay all run on the int
+facet masks a complex stores, re-indexed to one joint vertex index for a join
+(`complexes._masks`): a link or deletion is a set comprehension over a few
+ints, and labels are looked up only for witness vertices.
 
 Cones, join transport and witness replay are written once, in `_Kernel`,
 against five primitives of a state S, a complex in some encoding that is falsy
@@ -36,10 +35,12 @@ from .complexes import (
     ComplexError,
     SimplicialComplex,
     VoidComplex,
+    _bit,
     _delete_m,
-    _face,
     _link_m,
     _masks,
+    _maximalize,
+    _sub_masks,
     _support,
     induced_subcomplex,
     z2_betti,
@@ -310,24 +311,21 @@ class _Kernel:
         bits, link, delete, point = self.bits, self.link, self.delete, self.point
         seen = set()
         stack = [(S, w)]
-        try:
-            while stack:
-                S, w = stack.pop()
-                if isinstance(w, PointWitness):
-                    if S != point(bits.get(w.vertex, 0)):
-                        return False
-                    continue
-                if (S, id(w)) in seen:
-                    continue
-                seen.add((S, id(w)))
-                # a non-witness, an unknown or absent vertex, or the only one, has a void link
-                bit = bits.get(w.vertex, 0) if isinstance(w, SplitWitness) else 0
-                lk = link(S, bit)
-                if not lk:
+        while stack:
+            S, w = stack.pop()
+            if isinstance(w, PointWitness):
+                if S != point(_bit(bits, w.vertex)):
                     return False
-                stack += ((delete(S, bit), w.deletion), (lk, w.link))
-        except TypeError:  # an unhashable vertex label
-            return False
+                continue
+            if (S, id(w)) in seen:
+                continue
+            seen.add((S, id(w)))
+            # a non-witness, an unknown or absent vertex, or the only one, has a void link
+            bit = _bit(bits, w.vertex) if isinstance(w, SplitWitness) else 0
+            lk = link(S, bit)
+            if not lk:
+                return False
+            stack += ((delete(S, bit), w.deletion), (lk, w.link))
         return True
 
 
@@ -371,12 +369,12 @@ def replay_certificate(X: SimplicialComplex, cert: NECertificate):
     bits, F = _masks(X)
     kernel = _Facets(X.vertices, bits)
     for x, w in cert.steps():
-        bit = bits[x] if x in X.vertices else 0  # an unhashable x is unknown too
+        bit = _bit(bits, x)
         lk = _link_m(F, bit)
         if not lk or not kernel._holds(lk, w):
             return None
         F = _delete_m(F, bit)
-    return SimplicialComplex([_face(f, X.vertices) for f in F])
+    return SimplicialComplex._from_masks(X.vertices, F)
 
 
 def verify_ne_certificate(X, Y, cert) -> bool:
@@ -391,19 +389,13 @@ def search_ne_reduction(
 ):
     """Depth-first search for X NE-reducing to Y, pruning vertices with evasive
     links.  NOT_FOUND is exhaustive; BUDGET_EXCEEDED is not a verdict."""
-    if not set(Y.vertices) <= set(X.vertices):
-        raise ComplexError("target vertices must be a subset of the source vertices")
-    for f in Y.facets:
-        if not X.has_face(f):
-            raise ComplexError("target is not a subcomplex of the source")
+    keep = _support(_sub_masks(X, Y))
     if induced_subcomplex(X, Y.vertices) != Y:
         # vertex removals always land on induced subcomplexes
         return NOT_FOUND
     if len(X.vertices) > min(budget.max_vertices, _RECURSION_VERTICES):
         return BUDGET_EXCEEDED
-    bits, F = _masks(X)
     labels = X.vertices
-    keep = sum(bits[v] for v in Y.vertices)
     memo: dict = {}
     counter = _Counter(budget.max_nodes)
     dead: set = set()
@@ -432,7 +424,7 @@ def search_ne_reduction(
         return None
 
     try:
-        found = dfs(F)
+        found = dfs(_masks(X)[1])
     except _BudgetHit:
         return BUDGET_EXCEEDED
     if found is None:
@@ -498,7 +490,8 @@ def common_expansion(
     t_side = set(C.vertices) - set(B.vertices)
     if s_side & t_side:
         raise ComplexError(f"fresh vertex labels clash: {sorted(s_side & t_side)}")
-    D = SimplicialComplex(list(A.facets) + list(C.facets))
+    vertices = tuple(sorted({*A.vertices, *C.vertices}))
+    D = SimplicialComplex._from_masks(vertices, _maximalize(_masks(A, vertices)[1] | _masks(C, vertices)[1]))
     if not verify_ne_certificate(D, C, cert_ab) or not verify_ne_certificate(D, A, cert_cb):
         raise ComplexError("merged certificates failed replay verification")
     return CommonExpansion(D, cert_cb, cert_ab)

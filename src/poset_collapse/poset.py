@@ -32,6 +32,29 @@ def _close_masks(below: list[int], n: int) -> list[int]:
     return below
 
 
+def _mask_labels(mask: int, labels: tuple[str, ...]) -> frozenset[str]:
+    """The labels of the set bits of a mask over `labels`; copied from a set,
+    as one built from a list of five or more gets a table twice as large."""
+    out = set()
+    while mask:
+        out.add(labels[(mask & -mask).bit_length() - 1])
+        mask &= mask - 1
+    return frozenset(out)
+
+
+def _remap(masks, moved: list[int]) -> list[int]:
+    """Each mask with every bit i replaced by the mask moved[i] (a re-index)."""
+    out = []
+    for f in masks:
+        g = 0
+        while f:
+            low = f & -f
+            g |= moved[low.bit_length() - 1]
+            f ^= low
+        out.append(g)
+    return out
+
+
 def _above_masks(below) -> tuple[int, ...]:
     """Transpose of bitmask rows: above[j] has bit i iff below[i] has bit j."""
     above = [0] * len(below)
@@ -120,19 +143,11 @@ class Poset:
     def comparable(self, x: str, y: str) -> bool:
         return x == y or self.lt(x, y) or self.lt(y, x)
 
-    def _mask_labels(self, mask: int) -> frozenset[str]:
-        out = []
-        elems = self.elements
-        while mask:
-            out.append(elems[(mask & -mask).bit_length() - 1])
-            mask &= mask - 1
-        return frozenset(out)
-
     def strictly_below(self, x: str) -> frozenset[str]:
-        return self._mask_labels(self._below[self._check(x)])
+        return _mask_labels(self._below[self._check(x)], self.elements)
 
     def strictly_above(self, x: str) -> frozenset[str]:
-        return self._mask_labels(self._above[self._check(x)])
+        return _mask_labels(self._above[self._check(x)], self.elements)
 
     def down_set(self, x: str) -> frozenset[str]:
         """{y : y <= x}."""
@@ -141,48 +156,29 @@ class Poset:
     def up_set(self, x: str) -> frozenset[str]:
         return self.strictly_above(x) | {x}
 
+    def _pairs(self, rows) -> frozenset[tuple[str, str]]:
+        elems = self.elements
+        return frozenset((a, e) for e, row in zip(elems, rows) for a in _mask_labels(row, elems))
+
     def lt_pairs(self) -> frozenset[tuple[str, str]]:
-        out = []
-        for i, e in enumerate(self.elements):
-            for a in self._mask_labels(self._below[i]):
-                out.append((a, e))
-        return frozenset(out)
+        return self._pairs(self._below)
 
     def cover_pairs(self) -> frozenset[tuple[str, str]]:
         """Transitive reduction; regenerates the full order under closure."""
-        out = []
-        for i, e in enumerate(self.elements):
-            m = self._below[i]
-            red = m
-            mm = m
-            while mm:
-                j = (mm & -mm).bit_length() - 1
-                red &= ~self._below[j]
-                mm &= mm - 1
-            for a in self._mask_labels(red):
-                out.append((a, e))
-        return frozenset(out)
+        # a cover of e lies below e and below nothing else below e
+        below = self._below
+        return self._pairs(m & ~u for m, u in zip(below, _remap(below, below)))
 
     # -- derived posets -----------------------------------------------------
 
     def induced(self, labels: Iterable[str]) -> "Poset":
         """Induced subposet on a label subset."""
-        keep = sorted(set(labels))
-        pos = {}
-        mask_old = 0
-        for e in keep:
-            pos[e] = len(pos)
-            mask_old |= 1 << self._check(e)
-        below = []
-        for e in keep:
-            m = self._below[self._index[e]] & mask_old
-            nm = 0
-            while m:
-                j = (m & -m).bit_length() - 1
-                nm |= 1 << pos[self.elements[j]]
-                m &= m - 1
-            below.append(nm)
-        return Poset._from_closed(tuple(keep), tuple(below))
+        keep = tuple(sorted(set(labels)))
+        moved = [0] * len(self.elements)
+        for j, e in enumerate(keep):
+            moved[self._check(e)] = 1 << j
+        rows = _remap((self._below[self._index[e]] for e in keep), moved)
+        return Poset._from_closed(keep, tuple(rows))
 
     def dual(self) -> "Poset":
         """Same elements with the order reversed."""
@@ -206,23 +202,27 @@ class Poset:
         return maxs[0] if len(maxs) == 1 else None
 
     def maximal_chains(self) -> list[frozenset[str]]:
-        """All inclusion-maximal chains, as vertex sets."""
-        below, above, elems = self._below, self._above, self.elements
+        """All inclusion-maximal chains, as vertex sets (`_chain_masks`)."""
+        return sorted((_mask_labels(c, self.elements) for c in self._chain_masks()), key=sorted)
+
+    def _chain_masks(self) -> list[int]:
+        """The maximal chains as masks over the sorted elements."""
+        below, above = self._below, self._above
         # allowed: the elements above every chain member; a chain grows only by the
         # minimal members of allowed, so each maximal chain is produced exactly once
-        stack = [((i,), above[i]) for i in range(len(elems)) if not below[i]]
-        chains: list[frozenset[str]] = []
+        stack = [(1 << i, above[i]) for i, b in enumerate(below) if not b]
+        chains: list[int] = []
         while stack:
             chain, allowed = stack.pop()
             if not allowed:
-                chains.append(frozenset(elems[i] for i in chain))
+                chains.append(chain)
             m = allowed
             while m:
                 j = (m & -m).bit_length() - 1
                 m &= m - 1
                 if not allowed & below[j]:
-                    stack.append((chain + (j,), allowed & above[j]))
-        return sorted(chains, key=sorted)
+                    stack.append((chain | 1 << j, allowed & above[j]))
+        return chains
 
     def linear_extension(self) -> tuple[str, ...]:
         """Minimal-first linear extension, label-least tie-break."""

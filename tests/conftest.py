@@ -13,9 +13,6 @@ from poset_collapse import (
     Poset,
     SimplicialComplex,
     SplitWitness,
-    delete_vertex,
-    join,
-    link,
 )
 from poset_collapse.complexes import _delete_m, _link_m, _masks, _support
 from poset_collapse.poset import _above_masks as above_masks
@@ -161,8 +158,88 @@ def ref_join_witness(w, Y: SimplicialComplex):
     """A witness for X joined with Y from a witness w for X, by recursion on
     w, with a labelled join per point; the reference for `join_witness`."""
     if isinstance(w, PointWitness):
-        return ref_cone_witness(join(SimplicialComplex.point(w.vertex), Y), w.vertex)
+        return ref_cone_witness(SimplicialComplex(ref_join(SimplicialComplex.point(w.vertex), Y)), w.vertex)
     return SplitWitness(w.vertex, ref_join_witness(w.link, Y), ref_join_witness(w.deletion, Y))
+
+
+# -- label-level references for the mask operations of `complexes` ---------------
+#
+# These compute on the label facet view (`X.facets`) with frozenset algebra,
+# as the library did before complexes were stored as masks.  Complex-valued
+# ones return a label facet set, or VOID.
+
+
+def ref_maximalize(faces) -> frozenset:
+    by_size = sorted(set(faces), key=len, reverse=True)
+    out: list[frozenset] = []
+    for f in by_size:
+        if not any(f <= g for g in out):
+            out.append(f)
+    return frozenset(out)
+
+
+def _ref_complex(candidates):
+    candidates = [f for f in candidates if f]
+    return ref_maximalize(candidates) if candidates else VOID
+
+
+def complex_of(facets):
+    """The complex with a reference's label facet set, or VOID."""
+    return facets if facets is VOID else SimplicialComplex(facets)
+
+
+def ref_link(X: SimplicialComplex, v: str):
+    return _ref_complex(f - {v} for f in X.facets if v in f)
+
+
+def ref_delete_vertex(X: SimplicialComplex, v: str):
+    return _ref_complex(f - {v} for f in X.facets)
+
+
+def ref_induced_subcomplex(X: SimplicialComplex, labels):
+    keep = set(labels)
+    return _ref_complex(f & keep for f in X.facets)
+
+
+def ref_join(X: SimplicialComplex, Y: SimplicialComplex) -> frozenset:
+    return ref_maximalize(f | g for f in X.facets for g in Y.facets)
+
+
+def ref_faces(X: SimplicialComplex) -> frozenset:
+    seen = set()
+    for facet in X.facets:
+        fl = sorted(facet)
+        for k in range(1, len(fl) + 1):
+            for c in combinations(fl, k):
+                seen.add(frozenset(c))
+    return frozenset(seen)
+
+
+def ref_reduced_euler(X: SimplicialComplex) -> int:
+    return sum(-1 if len(f) % 2 == 0 else 1 for f in ref_faces(X)) - 1
+
+
+def ref_z2_betti(X: SimplicialComplex) -> tuple[int, ...]:
+    """Betti numbers over GF(2) by row reduction of label-indexed boundary
+    matrices; independent of the mask code's rank routine."""
+    dim = max(len(f) for f in X.facets) - 1
+    by_dim = [sorted((f for f in ref_faces(X) if len(f) == k + 1), key=sorted) for k in range(dim + 1)]
+    index = [{f: i for i, f in enumerate(lst)} for lst in by_dim]
+    ranks = [0] * (dim + 2)
+    for k in range(1, dim + 1):
+        rows = []
+        for f in by_dim[k]:
+            rows.append({index[k - 1][f - {v}] for v in f})
+        rank = 0
+        while rows:
+            pivot_row = rows.pop()
+            if not pivot_row:
+                continue
+            rank += 1
+            p = min(pivot_row)
+            rows = [r ^ pivot_row if p in r else r for r in rows]
+        ranks[k] = rank
+    return tuple(len(by_dim[k]) - ranks[k] - ranks[k + 1] for k in range(dim + 1))
 
 
 def split_chain(n, along):
@@ -186,29 +263,33 @@ def posets(draw, min_size=1, max_size=5):
     return Poset(labels, pairs)
 
 
-@st.composite
-def complexes(draw, max_vertices=5, max_facets=6):
+def face_lists(max_vertices=5, max_facets=6):
+    """Lists of nonempty label faces, not necessarily an antichain."""
     pool = list(LABELS[:max_vertices])
     all_faces = [
         frozenset(c)
         for k in range(1, len(pool) + 1)
         for c in combinations(pool, k)
     ]
-    facets = draw(st.lists(st.sampled_from(all_faces), min_size=1, max_size=max_facets))
-    return SimplicialComplex(facets)
+    return st.lists(st.sampled_from(all_faces), min_size=1, max_size=max_facets)
+
+
+def complexes(max_vertices=5, max_facets=6):
+    return face_lists(max_vertices, max_facets).map(SimplicialComplex)
 
 
 def naive_nonevasive(X) -> bool:
-    """Memo-free recursive oracle, straight from the definition."""
+    """Memo-free recursive oracle, straight from the definition; it steps
+    through the label-level `ref_link`/`ref_delete_vertex`."""
     if X is VOID:
         return False
     if len(X.vertices) == 1:
         return True
     for v in X.vertices:
-        lk = link(X, v)
+        lk = complex_of(ref_link(X, v))
         if lk is VOID:
             continue
-        if naive_nonevasive(lk) and naive_nonevasive(delete_vertex(X, v)):
+        if naive_nonevasive(lk) and naive_nonevasive(complex_of(ref_delete_vertex(X, v))):
             return True
     return False
 

@@ -207,6 +207,15 @@ class TestComplexCommands:
         argv = [str(tmp / a) if a.endswith(".json") else a for a in argv]
         assert run(argv + ["--complex", cx], capsys)[:2] == (code, ser.dumps({"status": status, "seed": 0}))
 
+    def test_collapse_search_checks_the_vertex_budget_before_the_face_counts(self, files, capsys):
+        # 511 - 2 faces is odd, so within the budget this target is not-found
+        tmp, write = files
+        cx = write("simplex9.json", {"facets": [[f"v{i}" for i in range(9)]]})
+        target = write("two.json", {"facets": [["v0"], ["v1"]]})
+        argv = ["collapse-search", "--complex", cx, "--target", target]
+        assert run(argv + ["--budget-vertices", "8"], capsys)[:2] == (3, ser.dumps({"status": "budget-exceeded", "seed": 0}))
+        assert run(argv, capsys)[:2] == (1, ser.dumps({"status": "not-found", "seed": 0}))
+
     def test_non_induced_target_is_not_found_past_the_vertex_budget(self, files, capsys):
         # vertex removals only reach induced subcomplexes, so no search is needed
         tmp, write = files

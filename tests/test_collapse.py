@@ -37,6 +37,7 @@ from poset_collapse import (
     witness_to_vertex_collapse,
     z2_betti,
 )
+from poset_collapse import collapse
 from poset_collapse.collapse import FaceStore
 from poset_collapse.complexes import _masks
 from poset_collapse.enumeration import (
@@ -297,6 +298,26 @@ class TestCompileChecksWitnessesInline:
         assert rejected > 1000 and accepted >= 11
 
 
+EDGE = SimplicialComplex([["a", "b"]])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: certificate_to_collapse(EDGE, NECertificate((["a"],), (PointWitness("b"),))),
+         "certificate removes unknown vertex"),
+        (lambda: certificate_to_collapse(EDGE, NECertificate(("a",), (PointWitness(["b"]),))),
+         "does not verify"),
+        (lambda: witness_to_vertex_collapse(EDGE, "a", PointWitness(["b"])), "does not verify"),
+        (lambda: apply_collapse(EDGE, [["a"]], frozenset("ab")), "is not a free pair"),
+    ],
+    ids=["removed-vertex", "certificate-witness", "vertex-witness", "free-pair"],
+)
+def test_unhashable_labels_are_complex_errors(call, message):
+    with pytest.raises(ComplexError, match=message):
+        call()
+
+
 class TestSearchCollapse:
     def test_simplex_to_point(self):
         X = SimplicialComplex.simplex("abc")
@@ -323,6 +344,18 @@ class TestSearchCollapse:
     def test_non_subcomplex_rejected(self):
         with pytest.raises(ComplexError):
             search_collapse(SimplicialComplex.simplex("abc"), SimplicialComplex.point("z"))
+
+    def test_vertex_budget_is_checked_before_any_face_store(self, monkeypatch):
+        def no_store(F):
+            raise AssertionError("a face store was built for an over-budget complex")
+
+        monkeypatch.setattr(collapse, "FaceStore", no_store)
+        X = SimplicialComplex.simplex(f"v{i:02d}" for i in range(20))
+        for Y in (SimplicialComplex.point("v00"), SimplicialComplex([["v00"], ["v01"]])):
+            assert search_collapse(X, Y) is BUDGET_EXCEEDED
+        assert search_collapse(X, None) is BUDGET_EXCEEDED
+        with pytest.raises(ComplexError):
+            search_collapse(X, SimplicialComplex.point("z"))
 
     @given(complexes(max_vertices=4))
     @settings(max_examples=40, deadline=None)
@@ -372,12 +405,12 @@ def rebuild_free_pairs(X):
 
 def rebuild_search(X, Y, budget):
     """The recursive rebuild DFS: same pair order, dead states and budget."""
+    if len(X.vertices) > budget.max_vertices:
+        return BUDGET_EXCEEDED
     if Y is not None:
         target = Y.faces()
         if (X.n_faces() - len(target)) % 2 != 0:
             return NOT_FOUND
-    if len(X.vertices) > budget.max_vertices:
-        return BUDGET_EXCEEDED
     left = [budget.max_nodes]
     dead = set()
 

@@ -1,5 +1,7 @@
 """Simplicial complexes: order complexes, links, joins, homotopy invariants."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 
@@ -19,7 +21,22 @@ from poset_collapse import (
     z2_betti,
 )
 
-from conftest import betti_equal, brute_chains, complexes, posets
+from poset_collapse.enumeration import complex_from_masks, iter_antichain_complexes
+
+from conftest import (
+    betti_equal,
+    brute_chains,
+    complexes,
+    posets,
+    ref_delete_vertex,
+    ref_faces,
+    ref_induced_subcomplex,
+    ref_join,
+    ref_link,
+    ref_maximalize,
+    ref_reduced_euler,
+    ref_z2_betti,
+)
 
 
 def b3():
@@ -207,3 +224,60 @@ class TestInducedAndRelabel:
         assert Y == SimplicialComplex([["x", "y"], ["y", "z"]])
         with pytest.raises(ComplexError):
             relabel(X, {"a": "b"})
+
+
+def label_view(X):
+    return X if X is VOID else X.facets
+
+
+class TestMasksMatchLabelReferences:
+    """Every mask operation against its label-level reference, on all 166
+    complexes on at most four vertices."""
+
+    FAMILY = [complex_from_masks(m) for m in iter_antichain_complexes(4)]
+    FACTORS = [
+        SimplicialComplex.point("x"),
+        SimplicialComplex([["x"], ["y"]]),
+        SimplicialComplex([["w", "x"], ["x", "y"]]),
+    ]
+
+    def test_views_equality_and_invariants(self):
+        family = self.FAMILY
+        assert len(family) == 166 and len(set(family)) == 166
+        for masks, X in zip(iter_antichain_complexes(4), family):
+            labelled = [frozenset("abcd"[i] for i in range(4) if m >> i & 1) for m in masks]
+            assert X.facets == ref_maximalize(labelled) == frozenset(labelled)
+            assert X.vertices == tuple(sorted(set().union(*labelled)))
+            assert repr(X) == f"SimplicialComplex({sorted(sorted(f) for f in labelled)})"
+            # the constructor maximalizes: all faces, in any order, give X again
+            again = SimplicialComplex(sorted(ref_faces(X), key=sorted))
+            assert again == X and hash(again) == hash(X) and again.facets == X.facets
+            assert X.faces() == ref_faces(X) and X.n_faces() == len(ref_faces(X))
+            assert X.dim() == max(len(f) for f in labelled) - 1
+            assert X.f_vector() == tuple(
+                sum(1 for f in ref_faces(X) if len(f) == k + 1) for k in range(X.dim() + 1)
+            )
+            common = frozenset.intersection(*labelled)
+            assert is_cone(X) == (min(common) if common else None)
+            assert reduced_euler(X) == ref_reduced_euler(X)
+            assert z2_betti(X) == ref_z2_betti(X)
+            for k in range(6):
+                for face in combinations("abcde", k):
+                    assert X.has_face(face) == (bool(face) and any(set(face) <= f for f in labelled))
+        for X in family:
+            for Y in family:
+                assert (X == Y) == (X.facets == Y.facets)
+
+    def test_links_deletions_induced_subcomplexes_and_joins(self):
+        for X in self.FAMILY:
+            for v in X.vertices:
+                assert label_view(link(X, v)) == ref_link(X, v)
+                if len(X.vertices) > 1:
+                    assert delete_vertex(X, v).facets == ref_delete_vertex(X, v)
+            for k in range(len(X.vertices) + 2):
+                for keep in combinations(X.vertices + ("z",), k):
+                    assert label_view(induced_subcomplex(X, keep)) == ref_induced_subcomplex(X, keep)
+            for Y in self.FACTORS:
+                XY = join(X, Y)
+                assert XY.facets == ref_join(X, Y)
+                assert XY.vertices == tuple(sorted(X.vertices + Y.vertices))

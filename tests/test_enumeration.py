@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from poset_collapse import ComplexError, Poset, PosetError, PosetMap, stabilize
+from poset_collapse import ComplexError, Poset, PosetError, PosetMap, SimplicialComplex, stabilize
 from poset_collapse.enumeration import (
     LABELS,
     _down_up_sets,
@@ -200,6 +200,14 @@ def test_mask_converters_reject_rows_past_the_labels():
     assert complex_from_masks([1 << 9]).vertices == ("j",)
 
 
+def test_mask_complexes_need_sorted_distinct_labels():
+    for labels in ("ba", "aab"):
+        with pytest.raises(ComplexError, match="^mask indices must follow sorted, distinct label order$"):
+            complex_from_masks([1], labels=labels)
+    X = complex_from_masks([0b101, 0b10, 0b1], labels="xyz")
+    assert X == SimplicialComplex([["x", "z"], ["y"]]) and X.vertices == ("x", "y", "z")
+
+
 @given(st.integers(0, 4230))
 @settings(max_examples=30, deadline=None)
 def test_mask_poset_roundtrip_on_random_indices(idx):
@@ -216,9 +224,10 @@ def test_mask_poset_roundtrip_on_random_indices(idx):
         ((0, 1, 2), LABELS, "^mask rows are not a closed strict order: row 2 is 2$"),
         ((1,), LABELS, "^mask rows are not a closed strict order: row 0 is 1$"),
         ((32, 0), LABELS, "^mask rows are not a closed strict order: row 0 is 32$"),
-        ((0, 0), "ba", "^mask indices must follow sorted label order$"),
+        ((0, 0), "ba", "^mask indices must follow sorted, distinct label order$"),
+        ((0, 0, 0), "aab", "^mask indices must follow sorted, distinct label order$"),
     ],
-    ids=["cycle", "not-closed", "reflexive", "bit-past-rows", "unsorted-labels"],
+    ids=["cycle", "not-closed", "reflexive", "bit-past-rows", "unsorted-labels", "repeated-labels"],
 )
 def test_poset_from_masks_rejects_invalid_rows(rows, labels, message):
     with pytest.raises(PosetError, match=message):

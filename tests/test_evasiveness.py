@@ -21,7 +21,6 @@ from poset_collapse import (
     classify_ne_equivalence,
     common_expansion,
     cone_witness,
-    delete_vertex,
     induced_subcomplex,
     is_nonevasive,
     join,
@@ -36,15 +35,21 @@ from poset_collapse import (
     verify_witness,
     z2_betti,
 )
-from poset_collapse.complexes import _delete_m, _face, _link_m, _masks
+from poset_collapse.complexes import _delete_m, _link_m, _masks
 from poset_collapse.enumeration import complex_from_masks, iter_antichain_complexes
+from poset_collapse.poset import _mask_labels
 
 from conftest import (
     betti_equal,
     complexes,
+    face_lists,
     naive_nonevasive,
+    complex_of,
     ref_cone_witness,
+    ref_delete_vertex,
     ref_join_witness,
+    ref_link,
+    ref_maximalize,
     split_chain,
 )
 
@@ -397,13 +402,13 @@ def ref_decide(X, memo, counter):
     else:
         result = EVASIVE
         for v in X.vertices:
-            lk = link(X, v)
+            lk = complex_of(ref_link(X, v))
             if lk is VOID:
                 continue
             wl = ref_decide(lk, memo, counter)
             if wl is EVASIVE:
                 continue
-            wd = ref_decide(delete_vertex(X, v), memo, counter)
+            wd = ref_decide(complex_of(ref_delete_vertex(X, v)), memo, counter)
             if wd is EVASIVE:
                 continue
             result = SplitWitness(v, wl, wd)
@@ -439,13 +444,13 @@ def ref_search_ne_reduction(X, Y, budget):
         for v in cur.vertices:
             if v in keep:
                 continue
-            lk = link(cur, v)
+            lk = complex_of(ref_link(cur, v))
             if lk is VOID:
                 continue
             w = ref_decide(lk, memo, counter)
             if w is EVASIVE:
                 continue
-            rest = dfs(delete_vertex(cur, v))
+            rest = dfs(complex_of(ref_delete_vertex(cur, v)))
             if rest is not None:
                 return [(v, w)] + rest
         dead.add(cur.facets)
@@ -494,21 +499,19 @@ class TestKernelMatchesLabelReference:
         if budget.max_nodes < 5:
             assert BUDGET_EXCEEDED in outcomes
 
-    @given(complexes(max_vertices=5), st.data())
+    @given(face_lists(max_vertices=5), st.data())
     @settings(max_examples=100, deadline=None)
-    def test_mask_link_and_deletion_match_the_label_operations(self, X, data):
+    def test_mask_link_and_deletion_match_the_label_operations(self, faces, data):
+        X = SimplicialComplex(faces)
+        assert X.facets == ref_maximalize(faces)
         bits, F = _masks(X)
-        assert frozenset(_face(f, X.vertices) for f in F) == X.facets
+
+        def label_view(M):
+            return frozenset(_mask_labels(f, X.vertices) for f in M) if M else VOID
+
         v = data.draw(st.sampled_from(X.vertices))
-        lk = _link_m(F, bits[v])
-        expected = link(X, v)
-        if expected is VOID:
-            assert lk == frozenset()
-        else:
-            assert frozenset(_face(f, X.vertices) for f in lk) == expected.facets
-        if len(X.vertices) > 1:
-            rest = _delete_m(F, bits[v])
-            assert frozenset(_face(f, X.vertices) for f in rest) == delete_vertex(X, v).facets
+        assert label_view(_link_m(F, bits[v])) == ref_link(X, v)
+        assert label_view(_delete_m(F, bits[v])) == ref_delete_vertex(X, v)
 
 
 def outcome(fn, *args):

@@ -24,18 +24,21 @@ def test_no_assert_statements():
 
 
 def test_collapse_never_builds_label_face_sets():
-    # replay and search step a FaceStore on int masks; labels are translated
-    # only at the edges, so no label face set may be built in the module
-    path = SRC / "collapse.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    found = [
-        f"collapse.py:{node.lineno} .{node.func.attr}()"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr in ("faces", "n_faces")
-    ]
-    assert not found, f"label face sets built in collapse.py: {found}"
+    # replay, search, the witness kernel and the NE searches run on the masks a
+    # complex stores; none may build its label facet or face sets, or ask
+    # `has_face`, which translates labels.  `self.facets` and `store.facets`
+    # are a FaceStore's own set of facet masks.
+    found = []
+    for name in ("collapse.py", "evasiveness.py", "reduction.py"):
+        path = SRC / name
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Attribute):
+                continue
+            called = node.attr in ("faces", "n_faces", "has_face")
+            facets = node.attr == "facets" and getattr(node.value, "id", None) not in ("self", "store")
+            if called or facets:
+                found.append(f"{name}:{node.lineno} .{node.attr}")
+    assert not found, f"label facet or face sets used on masks' paths: {found}"
 
 
 def _perfbench_constant(name, filename):
