@@ -18,8 +18,8 @@ against five primitives of a state S, a complex in some encoding that is falsy
 when void: link(S, bit), delete(S, bit), support(S), point(bit) and over(Y, bit),
 the cone over Y with that apex.  `_Facets` encodes a complex by its facet
 masks; `reduction._IntervalBuilder` encodes the order complex of a subposet by
-its element mask.  The kernel walks explicit stacks, so no witness is too deep
-for it, and memoises cones, so equal subtrees are one object.
+its element mask.  One memoised walk on an explicit stack builds cones and
+interval peels alike, at any depth and with equal subtrees as one object.
 
 Everything here is immutable and the operations are pure functions; searches
 are deterministic (vertices explored in label order) and budget-bounded.
@@ -27,7 +27,6 @@ are deterministic (vertices explored in label order) and budget-bounded.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -249,35 +248,41 @@ class _Kernel:
     def __init__(self, labels: tuple[str, ...], bits: dict[str, int]):
         self.labels = labels
         self.bits = bits
-        self._cones: defaultdict[int, dict] = defaultdict(dict)
+        self._cones: dict = {}
+
+    def _walk(self, S, abit: int, memo: dict, step) -> Witness:
+        """The witness of state S with apex `abit`: `step(T, a)` names the
+        vertex to split T at and the apex of its link, or 0 when T is the
+        point a; the deletion keeps the apex.  `memo` is keyed by (state, apex)."""
+        link, delete, labels = self.link, self.delete, self.labels
+        stack = [(S, abit, 0, 0, None, None)]
+        while stack:
+            T, a, bit, b, lk, dl = stack.pop()
+            if bit:
+                memo[T, a] = SplitWitness(labels[bit.bit_length() - 1], memo[lk, b], memo[dl, a])
+            elif (T, a) not in memo:
+                bit, b = step(T, a)
+                if not bit:
+                    memo[T, a] = PointWitness(labels[a.bit_length() - 1])
+                    continue
+                lk, dl = link(T, bit), delete(T, bit)
+                stack += ((T, a, bit, b, lk, dl), (dl, a, 0, 0, None, None), (lk, b, 0, 0, None, None))
+        return memo[S, abit]
+
+    def _cone_step(self, T, abit: int):
+        # split at the label-least non-apex vertex; the link keeps the apex
+        rest = self.support(T) ^ abit
+        return rest & -rest, abit
 
     def cone(self, S, apex: int) -> Witness:
         """The witness of the cone S with apex `labels[apex]`: remove the
-        non-apex vertices in label order.  Cones are memoised per kernel, so
-        equal subtrees of the witnesses it returns are one object."""
+        non-apex vertices in label order.  Cones are memoised per kernel."""
         abit = 1 << apex
-        cones = self._cones[abit]
-        if S in cones:
-            return cones[S]
-        link, delete, support, labels = self.link, self.delete, self.support, self.labels
         # every facet contains the apex iff the link equals the deletion; links
         # and deletions of a cone keep its apex, so the root is checked alone
-        if not S or link(S, abit) != delete(S, abit):
-            raise ComplexError(f"{labels[apex]!r} is not an apex: some facet misses it")
-        stack = [(S, 0, None, None)]
-        while stack:
-            T, bit, lk, dl = stack.pop()
-            if bit:
-                cones[T] = SplitWitness(labels[bit.bit_length() - 1], cones[lk], cones[dl])
-            elif T not in cones:
-                rest = support(T) ^ abit
-                if not rest:
-                    cones[T] = PointWitness(labels[apex])
-                    continue
-                bit = rest & -rest
-                lk, dl = link(T, bit), delete(T, bit)
-                stack += ((T, bit, lk, dl), (dl, 0, None, None), (lk, 0, None, None))
-        return cones[S]
+        if (S, abit) not in self._cones and (not S or self.link(S, abit) != self.delete(S, abit)):
+            raise ComplexError(f"{self.labels[apex]!r} is not an apex: some facet misses it")
+        return self._walk(S, abit, self._cones, self._cone_step)
 
     def join(self, X, w: Witness, Y) -> Witness:
         """`join_witness` on states: check w on X, then transport it over Y."""

@@ -19,9 +19,9 @@ complexes, for S a set of elements and v in S:
 So a subposet is one int, a link or a deletion is one AND, and the
 label-least element is the lowest bit; no induced poset, order complex or
 `PosetMap` is built per removed element.  `_IntervalBuilder` hands these
-operations to the witness kernel of `evasiveness`, which builds the cones and
-checks and transports witnesses over joins on explicit stacks; only
-`descending` recurses, once per level of the poset.
+operations to the witness kernel of `evasiveness`, whose one memoised walk
+builds the peels and the cones, and which checks and transports witnesses
+over joins, all on explicit stacks.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Iterable, Optional, Sequence
 
 from .collapse import CollapseSequence, certificate_to_collapse
 from .complexes import order_complex
-from .evasiveness import NECertificate, SplitWitness, Witness, _Kernel
+from .evasiveness import NECertificate, Witness, _Kernel
 from .poset import Poset, PosetError, PosetMap, _table_power, stabilize
 
 
@@ -57,13 +57,14 @@ class _IntervalBuilder(_Kernel):
     sorted elements.  The witness kernel runs on element masks: a state S is
     Delta(S), by the two facts of the module docstring."""
 
-    __slots__ = ("down", "up", "comp", "g")
+    __slots__ = ("down", "up", "comp", "g", "_peels")
 
     def __init__(self, P: Poset, g: Sequence[int]):
         bits = {e: 1 << i for i, e in enumerate(P.elements)}
         super().__init__(P.elements, bits)
         self.down, self.up, self.g = P._below, P._above, g
         self.comp = dict(zip(bits.values(), map(or_, P._below, P._above)))
+        self._peels = ({}, {})  # the memos of `descending` in P's order and in its dual
 
     def link(self, S: int, bit: int) -> int:
         return S & self.comp[bit] if S & bit else 0  # void when bit is not in S
@@ -78,30 +79,30 @@ class _IntervalBuilder(_Kernel):
         not below `top` strictly down, with g(x) = top for the removed
         interval's element x.
 
-        Peels B minus the down-set of `top` in a loop; the final complex is a
-        cone with apex `top`."""
+        Peels B minus the down-set of `top`, down to a cone with apex `top`."""
         tbit = 1 << top
         if not B & tbit:
             raise PosetError(f"unknown element {self.labels[top]!r}")
-        splits = []
-        removable = B & ~(down[top] | tbit)
-        while removable:
+        g, labels, cone_step = self.g, self.labels, self._cone_step
+
+        def peel(T: int, abit: int):
+            t = abit.bit_length() - 1
+            removable = T & ~(down[t] | abit)
+            if not removable:
+                if not T & abit:
+                    raise PosetError(f"unknown element {labels[t]!r}")
+                return cone_step(T, abit)
             # the label-least element that is maximal among the removable ones
             m = removable
             while up[(m & -m).bit_length() - 1] & removable:
                 m &= m - 1
-            abit = m & -m
-            a = abit.bit_length() - 1
-            # nothing in B lies above a (it would be <= top, and a too): lk a = Delta(B & down[a]).
+            a = m & -m
+            # nothing in T lies above a (it would be <= top, and a too): lk a = Delta(T & down[a]).
             # g(a) < a here: a <= nothing above top, so an image above a would
             # force a < g(a) <= top and land a inside the peeled-off down-set
-            splits.append((a, self.descending(B & down[a], self.g[a], down, up)))
-            B ^= abit
-            removable ^= abit
-        w = self.cone(B, top)
-        for a, wl in reversed(splits):
-            w = SplitWitness(self.labels[a], wl, w)
-        return w
+            return a, 1 << g[a.bit_length() - 1]
+
+        return self._walk(B, tbit, self._peels[down is not self.down], peel)
 
     def interval(self, cur: int, x: int) -> Witness:
         """Witness for the link of x in Delta(cur), where g moves x."""
