@@ -3,9 +3,10 @@
 Exit codes: 0 success/verified, 1 not-found/not-verified/inequality,
 2 malformed input or an `--output` path that cannot be written, 3 budget
 exceeded, 4 internal error (a bug in this package, reported on stderr as
-`internal error: <type>: <message>` without a traceback).  Outputs are JSON,
-byte-stable for a fixed input and seed; the seed is recorded in every
-structured output.
+`internal error: <type>: <message>` without a traceback).  `--budget-nodes`
+bounds the nodes a search spends and, for `reduce` and `reduce-to-image`,
+the witness nodes their output would write.  Outputs are JSON, byte-stable
+for a fixed input and seed; the seed is recorded in every structured output.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .evasiveness import (
     EVASIVE,
     NOT_FOUND,
     SearchBudget,
+    SplitWitness,
     classify_ne_equivalence,
     common_expansion,
     is_nonevasive,
@@ -158,20 +160,44 @@ def cmd_ne_search(args):
     return _emit_outcome(args, result, "found", "certificate", ser.certificate_to_data)
 
 
+def _written_nodes(cert) -> int:
+    # the witness nodes `witness_to_data` writes, a shared subtree once per
+    # use: sizes summed over distinct nodes (by id), children first
+    size: dict[int, int] = {}
+    stack = [(w, False) for w in cert.witnesses]
+    while stack:
+        w, ready = stack.pop()
+        if ready:
+            size[id(w)] = 1 + size[id(w.link)] + size[id(w.deletion)]
+        elif id(w) not in size:
+            if isinstance(w, SplitWitness):
+                stack += ((w, True), (w.deletion, False), (w.link, False))
+            else:
+                size[id(w)] = 1
+    return sum(size[id(w)] for w in cert.witnesses)
+
+
+def _emit_report(args, report) -> int:
+    """Emit a reduction report, or budget-exceeded (exit 3) before any JSON
+    is built when its witnesses would write more than --budget-nodes nodes."""
+    if _written_nodes(report.certificate) > _budget(args).max_nodes:
+        _emit(args, {"status": "budget-exceeded"})
+        return EXIT_BUDGET
+    _emit(args, ser.reduction_report_to_data(report))
+    return EXIT_OK
+
+
 def cmd_reduce(args):
     P = _load_poset(args.poset)
     phi = _load_map(args.map, P)
     report = theorem_reduce(P, phi, _resolve_subset(phi, args.sub), emit_collapse=args.emit_collapse)
-    _emit(args, ser.reduction_report_to_data(report))
-    return EXIT_OK
+    return _emit_report(args, report)
 
 
 def cmd_reduce_to_image(args):
     P = _load_poset(args.poset)
     phi = _load_map(args.map, P)
-    report = reduce_to_image(P, phi, emit_collapse=args.emit_collapse)
-    _emit(args, ser.reduction_report_to_data(report))
-    return EXIT_OK
+    return _emit_report(args, reduce_to_image(P, phi, emit_collapse=args.emit_collapse))
 
 
 def cmd_to_collapse(args):

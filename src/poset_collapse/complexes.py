@@ -21,7 +21,8 @@ class ComplexError(ValueError):
 
 
 class VoidComplex:
-    """The complex with no vertices at all."""
+    """The complex with no vertices at all.  Operations that take a complex
+    reach its vertices first, so asking for them is where VOID is refused."""
 
     _instance = None
 
@@ -29,6 +30,10 @@ class VoidComplex:
         if cls._instance is None:
             cls._instance = super().__new__(cls)
         return cls._instance
+
+    @property
+    def vertices(self):
+        raise ComplexError("the void complex is not a valid operand here")
 
     def __repr__(self) -> str:
         return "VOID"

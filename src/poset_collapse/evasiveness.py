@@ -228,8 +228,6 @@ def is_nonevasive(X: SimplicialComplex, budget: SearchBudget = DEFAULT_BUDGET):
     object (no small certificate of evasiveness exists in general) and is
     relative to the budget.  Results are memoized by facet set within the run.
     """
-    if isinstance(X, VoidComplex):
-        raise ComplexError("the void complex has no evasiveness status")
     if len(X.vertices) > min(budget.max_vertices, _RECURSION_VERTICES):
         return BUDGET_EXCEEDED
     _, F = _masks(X)

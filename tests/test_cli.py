@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import time
 
 import hypothesis.strategies as st
 import pytest
@@ -63,6 +64,44 @@ class TestReduce:
         )
         assert code == 0
         assert json.loads(out)["collapse"]["steps"]
+
+    @pytest.mark.parametrize("flags, code", [([], 0), (["--budget-nodes", "6"], 0), (["--budget-nodes", "5"], 3)])
+    def test_b2_report_within_the_node_budget(self, files, capsys, flags, code):
+        # the certificate writes 6 witness nodes; the report is unchanged within budget
+        tmp, write = files
+        argv = ["reduce", "--poset", write("b2.json", B2), "--map", write("closure.json", CLOSURE), "--sub", "fix"]
+        got, out, err = run(argv + flags, capsys)
+
+        def split(v, link, deletion):
+            return {"split": {"v": v, "link": link, "deletion": deletion}}
+
+        report = {
+            "certificate": {
+                "removed": ["0", "1"],
+                "witnesses": [
+                    split("1", {"point": "12"}, split("12", {"point": "2"}, {"point": "2"})),
+                    {"point": "12"},
+                ],
+            },
+            "gamma": CLOSURE,
+            "removal_order": ["0", "1"],
+        }
+        expected = report if code == 0 else {"status": "budget-exceeded"}
+        assert (got, json.loads(out), err) == (code, dict(expected, seed=0), "")
+
+    @pytest.mark.parametrize("command", ["reduce", "reduce-to-image"])
+    def test_tall_chain_is_over_the_node_budget(self, files, capsys, command):
+        # 0 < a000 < ... < a997 < t with phi = t: 999 distinct witness nodes,
+        # but trees too large to write, so exit 3 before any JSON is built
+        tmp, write = files
+        labels = ["0", *[f"a{i:03d}" for i in range(998)], "t"]
+        poset = write("chain.json", {"elements": labels, "covers": [list(p) for p in zip(labels, labels[1:])]})
+        mapf = write("top.json", {"map": {e: "t" for e in labels}})
+        argv = [command, "--poset", poset, "--map", mapf] + (["--sub", "fix"] if command == "reduce" else [])
+        t0 = time.perf_counter()
+        got, out, err = run(argv, capsys)
+        assert (got, json.loads(out), err) == (3, {"status": "budget-exceeded", "seed": 0}, "")
+        assert time.perf_counter() - t0 < 60
 
     def test_subset_file(self, files, capsys):
         tmp, write = files

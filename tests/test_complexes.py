@@ -7,17 +7,30 @@ from hypothesis import given, settings
 
 from poset_collapse import (
     VOID,
+    CollapseSequence,
     ComplexError,
+    NECertificate,
+    PointWitness,
     Poset,
     SimplicialComplex,
+    certificate_to_collapse,
+    cone_witness,
     delete_vertex,
+    free_pairs,
     induced_subcomplex,
     is_cone,
     join,
+    join_witness,
+    lift_certificate_over_join,
     link,
     order_complex,
     reduced_euler,
     relabel,
+    search_collapse,
+    search_ne_reduction,
+    verify_collapse,
+    verify_ne_certificate,
+    verify_witness,
     z2_betti,
 )
 
@@ -224,6 +237,45 @@ class TestInducedAndRelabel:
         assert Y == SimplicialComplex([["x", "y"], ["y", "z"]])
         with pytest.raises(ComplexError):
             relabel(X, {"a": "b"})
+
+
+EDGE = SimplicialComplex([["a", "b"]])
+NO_STEPS = NECertificate((), ())
+
+
+VOID_OPERANDS = {
+    "search_ne_reduction-source": (search_ne_reduction, (VOID, EDGE)),
+    "search_ne_reduction-target": (search_ne_reduction, (EDGE, VOID)),
+    "search_collapse-source": (search_collapse, (VOID, EDGE)),
+    "search_collapse-source-to-point": (search_collapse, (VOID, None)),
+    "search_collapse-target": (search_collapse, (EDGE, VOID)),
+    "join-left": (join, (VOID, EDGE)),
+    "join-right": (join, (EDGE, VOID)),
+    "join_witness-left": (join_witness, (VOID, PointWitness("a"), EDGE)),
+    "join_witness-right": (join_witness, (EDGE, PointWitness("a"), VOID)),
+    "lift_certificate_over_join-source": (lift_certificate_over_join, (VOID, NO_STEPS, EDGE)),
+    "lift_certificate_over_join-factor": (lift_certificate_over_join, (EDGE, NO_STEPS, VOID)),
+    "cone_witness": (cone_witness, (VOID, "a")),
+    "certificate_to_collapse": (certificate_to_collapse, (VOID, NO_STEPS)),
+    "free_pairs": (free_pairs, (VOID,)),
+}
+
+
+class TestVoidOperand:
+    # VOID, the value of some links and induced subcomplexes, is an input
+    # error wherever a complex is taken, and a verifier's "not verified"
+    @pytest.mark.parametrize("name", sorted(VOID_OPERANDS))
+    def test_is_an_input_error(self, name):
+        fn, args = VOID_OPERANDS[name]
+        with pytest.raises(ComplexError, match="^the void complex is not a valid operand here$"):
+            fn(*args)
+
+    def test_is_not_verified(self):
+        assert not verify_witness(VOID, PointWitness("a"))
+        assert not verify_ne_certificate(VOID, EDGE, NO_STEPS)
+        assert not verify_ne_certificate(EDGE, VOID, NO_STEPS)
+        assert not verify_collapse(VOID, EDGE, CollapseSequence(()))
+        assert not verify_collapse(EDGE, VOID, CollapseSequence(()))
 
 
 def label_view(X):

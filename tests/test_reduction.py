@@ -390,6 +390,8 @@ class TestBuilderMatchesLabelReference:
 def long_deletion_chain(case):
     # about 1,000 elements whose interval witnesses peel long deletion chains
     mid = [f"a{i:03d}" for i in range(998)]
+    if case == "chain":  # the total order 0 < a000 < a001 < ... < a997 < t, phi = t
+        return constant_top_chain(["0", *mid, "t"])
     if case == "constant-top":  # 0 < a000..a997 < t, phi = t
         lt = [("0", a) for a in mid] + [(a, "t") for a in mid]
         P = Poset(["0", *mid, "t"], lt)
@@ -404,9 +406,25 @@ def long_deletion_chain(case):
     return P, PosetMap(P, {**{e: "t" for e in P.elements}, "z": "z"})
 
 
+def constant_top_chain(labels):
+    P = Poset(labels, list(zip(labels, labels[1:])))
+    return P, PosetMap(P, {e: labels[-1] for e in labels})
+
+
+def distinct_nodes(cert):
+    seen, stack = set(), list(cert.witnesses)
+    while stack:
+        w = stack.pop()
+        if id(w) not in seen:
+            seen.add(id(w))
+            if isinstance(w, SplitWitness):
+                stack += [w.link, w.deletion]
+    return len(seen)
+
+
 class TestLongDeletionChains:
-    # the builder walks deletion chains in loops, so its depth follows the height
-    @pytest.mark.parametrize("case", ["constant-top", "drop-b", "fixed-bottom"])
+    # the builder walks peels and cones on the kernel's stack, at any height
+    @pytest.mark.parametrize("case", ["chain", "constant-top", "drop-b", "fixed-bottom"])
     def test_reduce_and_verify(self, case):
         P, phi = long_deletion_chain(case)
         Q = phi.fixed_points()
@@ -414,6 +432,13 @@ class TestLongDeletionChains:
         assert len(report.removal_order) == len(P) - len(Q)
         X, Y = order_complex(P), order_complex(P.induced(Q))
         assert verify_ne_certificate(X, Y, report.certificate)
+
+    def test_equal_peels_are_one_node(self):
+        # each state's witness is built once: the 18-chain's certificate has
+        # 17 distinct nodes, where a tree of the same witnesses has 131,055
+        P, phi = constant_top_chain([f"e{i:02d}" for i in range(18)])
+        report = theorem_reduce(P, phi, phi.fixed_points())
+        assert distinct_nodes(report.certificate) <= 18
 
 
 class TestWorkGuard:

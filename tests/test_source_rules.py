@@ -117,41 +117,72 @@ def test_every_definition_is_named_somewhere_else():
     assert not dead, f"defined but named nowhere else: {dead}"
 
 
-# Every function in the package that calls itself, with what bounds its depth.
-# A recursion that the input size alone bounds would hit the interpreter's
+# Every call cycle within a module of the package, a function that calls
+# itself or functions that call each other, with what bounds its depth.  A
+# recursion that the input size alone bounds would hit the interpreter's
 # limit, so the witness kernel walks explicit stacks and is not listed.
 RECURSIVE = {
-    "enumeration.iter_posets",  # n, the number of elements
-    "enumeration.iter_antichain_complexes.rec",  # the facets chosen so far
-    "evasiveness._decide",  # at most 512 vertices, the NE searches' cap
-    "evasiveness.search_ne_reduction.dfs",  # at most 512 vertices, the same cap
-    "reduction._IntervalBuilder.descending",  # the height of the poset (ROADMAP 4(b))
+    ("enumeration.iter_posets",),  # n, the number of elements
+    ("enumeration.iter_antichain_complexes.rec",),  # the facets chosen so far
+    ("evasiveness._decide",),  # at most 512 vertices, the NE searches' cap
+    ("evasiveness.search_ne_reduction.dfs",),  # at most 512 vertices, the same cap
+    ("collapse._point_collapse", "collapse._star_collapse"),  # the witness's link depth, at most dim X + 1
 }
 
 
-def _calls_itself(fn):
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Call):
-            f = node.func
-            if isinstance(f, ast.Name) and f.id == fn.name:
-                return True
-            if isinstance(f, ast.Attribute) and f.attr == fn.name and getattr(f.value, "id", None) == "self":
-                return True
-    return False
+def _call_graph(tree, module):
+    """Each function of the module, by qualified name, with the module's
+    functions its own body calls: a bare name means the non-method functions
+    of that name, `self.f` the methods f of the caller's class."""
+    defs = {}  # qualified name -> (node, class qualified name or None, is a method)
 
-
-def test_direct_recursion_is_on_the_allow_list():
-    found = set()
-
-    def visit(node, prefix):
+    def visit(node, prefix, cls):
         for child in ast.iter_child_nodes(node):
-            name = prefix
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}.{child.name}", f"{prefix}.{child.name}")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 name = f"{prefix}.{child.name}"
-                if not isinstance(child, ast.ClassDef) and _calls_itself(child):
-                    found.add(name)
-            visit(child, name)
+                defs[name] = (child, cls, isinstance(node, ast.ClassDef))
+                visit(child, name, cls)
+            else:
+                visit(child, prefix, cls)
 
+    visit(tree, module, None)
+    graph = {}
+    for name, (fn, cls, _) in defs.items():
+        callees = set()
+        stack = list(fn.body)  # its own body: nested definitions are nodes of their own
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            stack.extend(ast.iter_child_nodes(node))
+            f = node.func if isinstance(node, ast.Call) else None
+            if isinstance(f, ast.Name):
+                callees |= {q for q, (g, _, method) in defs.items() if g.name == f.id and not method}
+            elif isinstance(f, ast.Attribute) and getattr(f.value, "id", None) == "self":
+                callees |= {q for q, (g, c, method) in defs.items() if g.name == f.attr and method and c == cls}
+        graph[name] = callees
+    return graph
+
+
+def _cycles(graph):
+    """The strongly connected components of `graph` that hold a cycle, each
+    as a sorted tuple of its nodes."""
+    reach = {}
+    for start in graph:
+        seen, stack = set(), list(graph[start])
+        while stack:
+            v = stack.pop()
+            if v not in seen:
+                seen.add(v)
+                stack.extend(graph[v])
+        reach[start] = seen
+    return {tuple(sorted(u for u in reach[v] if v in reach[u])) for v in graph if v in reach[v]}
+
+
+def test_call_cycles_are_on_the_allow_list():
+    found = set()
     for path in sorted(SRC.rglob("*.py")):
-        visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+        found |= _cycles(_call_graph(ast.parse(path.read_text(), filename=str(path)), path.stem))
     assert found == RECURSIVE
