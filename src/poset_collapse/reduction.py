@@ -97,9 +97,9 @@ class _IntervalBuilder(_Kernel):
             while up[(m & -m).bit_length() - 1] & removable:
                 m &= m - 1
             a = m & -m
-            # nothing in T lies above a (it would be <= top, and a too): lk a = Delta(T & down[a]).
-            # g(a) < a here: a <= nothing above top, so an image above a would
-            # force a < g(a) <= top and land a inside the peeled-off down-set
+            # nothing in T lies above a (it would be <= the apex, and a too): lk a = Delta(T & down[a]).
+            # g(a) < a here: a <= nothing above the apex, so an image above a would
+            # force a < g(a) <= the apex and land a inside the peeled-off down-set
             return a, 1 << g[a.bit_length() - 1]
 
         return self._walk(B, tbit, self._peels[down is not self.down], peel)
