@@ -4,9 +4,11 @@ Exit codes: 0 success/verified, 1 not-found/not-verified/inequality,
 2 malformed input or an `--output` path that cannot be written, 3 budget
 exceeded, 4 internal error (a bug in this package, reported on stderr as
 `internal error: <type>: <message>` without a traceback).  `--budget-nodes`
-bounds the nodes a search spends and, for `reduce` and `reduce-to-image`,
-the witness nodes their output would write.  Outputs are JSON, byte-stable
-for a fixed input and seed; the seed is recorded in every structured output.
+bounds the nodes a search spends; for `reduce` and `reduce-to-image`, the
+distinct witness nodes their certificate writes; and for `to-collapse` and
+`--emit-collapse`, the steps of the compiled collapse, counted before it is
+compiled.  Outputs are JSON, byte-stable for a fixed input and seed; the
+seed is recorded in every structured output.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .evasiveness import (
     replay_certificate,
     search_ne_reduction,
     verify_witness,
+    _postorder,
 )
 from .mobius import crapo_check, hall_check, mobius_table
 from .poset import PosetError, PosetMap, decompose_monotone
@@ -160,49 +163,55 @@ def cmd_ne_search(args):
     return _emit_outcome(args, result, "found", "certificate", ser.certificate_to_data)
 
 
-def _written_nodes(cert) -> int:
-    # the witness nodes `witness_to_data` writes, a shared subtree once per
-    # use: sizes summed over distinct nodes (by id), children first
-    size: dict[int, int] = {}
-    stack = [(w, False) for w in cert.witnesses]
-    while stack:
-        w, ready = stack.pop()
-        if ready:
-            size[id(w)] = 1 + size[id(w.link)] + size[id(w.deletion)]
-        elif id(w) not in size:
-            if isinstance(w, SplitWitness):
-                stack += ((w, True), (w.deletion, False), (w.link, False))
-            else:
-                size[id(w)] = 1
-    return sum(size[id(w)] for w in cert.witnesses)
+def _collapse_steps(cert) -> int:
+    # the steps `certificate_to_collapse` emits: one per removed vertex and one
+    # per split of the expanded witness trees, summed over distinct nodes
+    splits: dict[int, int] = {}
+    for w in _postorder(cert.witnesses):
+        splits[id(w)] = 1 + splits[id(w.link)] + splits[id(w.deletion)] if isinstance(w, SplitWitness) else 0
+    return len(cert) + sum(splits[id(w)] for w in cert.witnesses)
 
 
-def _emit_report(args, report) -> int:
-    """Emit a reduction report, or budget-exceeded (exit 3) before any JSON
-    is built when its witnesses would write more than --budget-nodes nodes."""
-    if _written_nodes(report.certificate) > _budget(args).max_nodes:
+def _over_budget(args, count: int) -> bool:
+    """Emit budget-exceeded when `count` exceeds --budget-nodes."""
+    if count > _budget(args).max_nodes:
         _emit(args, {"status": "budget-exceeded"})
+        return True
+    return False
+
+
+def _emit_report(args, P, report) -> int:
+    """Emit a reduction report, or budget-exceeded (exit 3) when its certificate
+    writes more distinct nodes than --budget-nodes or, with --emit-collapse,
+    would compile to more collapse steps; `report` has no collapse yet, and
+    it is compiled only within the budget."""
+    data = ser.reduction_report_to_data(report)
+    steps = _collapse_steps(report.certificate) if args.emit_collapse else 0
+    if _over_budget(args, max(len(data["certificate"]["nodes"]), steps)):
         return EXIT_BUDGET
-    _emit(args, ser.reduction_report_to_data(report))
+    if args.emit_collapse:
+        data["collapse"] = ser.collapse_to_data(certificate_to_collapse(order_complex(P), report.certificate))
+    _emit(args, data)
     return EXIT_OK
 
 
 def cmd_reduce(args):
     P = _load_poset(args.poset)
     phi = _load_map(args.map, P)
-    report = theorem_reduce(P, phi, _resolve_subset(phi, args.sub), emit_collapse=args.emit_collapse)
-    return _emit_report(args, report)
+    return _emit_report(args, P, theorem_reduce(P, phi, _resolve_subset(phi, args.sub)))
 
 
 def cmd_reduce_to_image(args):
     P = _load_poset(args.poset)
     phi = _load_map(args.map, P)
-    return _emit_report(args, reduce_to_image(P, phi, emit_collapse=args.emit_collapse))
+    return _emit_report(args, P, reduce_to_image(P, phi))
 
 
 def cmd_to_collapse(args):
     X = _load_complex(args.complex)
     cert = _load_certificate(args.certificate)
+    if _over_budget(args, _collapse_steps(cert)):
+        return EXIT_BUDGET
     seq = certificate_to_collapse(X, cert)
     _emit(args, ser.collapse_to_data(seq))
     return EXIT_OK

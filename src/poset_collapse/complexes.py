@@ -21,8 +21,8 @@ class ComplexError(ValueError):
 
 
 class VoidComplex:
-    """The complex with no vertices at all.  Operations that take a complex
-    reach its vertices first, so asking for them is where VOID is refused."""
+    """The complex with no vertices at all.  It has none of a complex's
+    attributes, and asking it for one is where VOID is refused as an operand."""
 
     _instance = None
 
@@ -31,8 +31,11 @@ class VoidComplex:
             cls._instance = super().__new__(cls)
         return cls._instance
 
-    @property
-    def vertices(self):
+    def __getattr__(self, name):
+        # reached only for names the class lacks; special names stay
+        # AttributeErrors, as copy, pickle and hasattr expect
+        if name.startswith("__"):
+            raise AttributeError(name)
         raise ComplexError("the void complex is not a valid operand here")
 
     def __repr__(self) -> str:

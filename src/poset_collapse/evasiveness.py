@@ -134,6 +134,28 @@ class SplitWitness:
 Witness = Union[PointWitness, SplitWitness]
 
 
+def _postorder(roots):
+    """The distinct nodes (by id) under the witnesses `roots`, each after its
+    link and then its deletion subtree: the order in which the expanded trees
+    first reach them, however equal subtrees are shared."""
+    done = set()
+    for root in roots:
+        stack = [root]
+        while stack:
+            w = stack[-1]
+            if id(w) in done:
+                stack.pop()
+                continue
+            if w.__class__ is SplitWitness:
+                todo = [c for c in (w.deletion, w.link) if id(c) not in done]
+                if todo:
+                    stack += todo
+                    continue
+            stack.pop()
+            done.add(id(w))
+            yield w
+
+
 @dataclass(frozen=True)
 class NECertificate:
     """Ordered vertex removals with a nonevasiveness witness per removed link."""

@@ -4,10 +4,23 @@ Formats (exact field names):
   poset        {"elements": [...], "covers": [["a","b"], ...]}
   map          {"map": {"a": "b", ...}}
   complex      {"facets": [["a","b","c"], ...]}
-  witness      {"point": "v"} | {"split": {"v": ..., "link": ..., "deletion": ...}}
-  certificate  {"removed": [...], "witnesses": [...]}
+  witness      {"format": "nodes", "nodes": [...], "root": i}
+  certificate  {"format": "nodes", "nodes": [...], "removed": [...], "witnesses": [i, ...]}
   collapse     {"steps": [{"free": [...], "coface": [...]}, ...]}
   crapo        {"lhs": n, "rhs": m, "equal": bool, "case": ...}
+
+Witnesses are written as one node table: each row of "nodes" is ["v"], the
+point v, or ["v", link, deletion], a split at v whose link and deletion are
+the rows at those indices.  Rows are listed children first, so every index
+points below its own row, and "root" and "witnesses" index rows too.  The
+writer keeps one row per distinct (v, link, deletion), so equal witnesses
+write the same bytes however their subtrees were shared, and the reader
+builds the rows in one forward pass, so a loaded witness shares every
+repeated subtree.  A witness or certificate without a "format" field is read
+in the nested form written before the table existed, where a witness is
+{"point": "v"} | {"split": {"v": ..., "link": ..., "deletion": ...}} and a
+certificate is {"removed": [...], "witnesses": [nested witness, ...]}; any
+other "format" is an input error.
 
 Every element and vertex label is a JSON string; loaders reject anything
 else with InputError.
@@ -18,8 +31,8 @@ is a 2-space indent, keys sorted, every string `ensure_ascii`-escaped.  It
 accepts dicts with `str` keys, lists, tuples, strs, ints, bools and None, and
 raises TypeError on anything else, floats included: no output of the CLI
 holds a float or a non-`str` key.  It walks the data on an explicit stack, so
-no nesting depth hits the recursion limit.  Witness trees are converted to
-and from data on explicit stacks too.
+no nesting depth hits the recursion limit.  Witnesses are converted to and
+from data on explicit stacks too.
 """
 
 from __future__ import annotations
@@ -35,6 +48,7 @@ from .evasiveness import (
     NEClassification,
     PointWitness,
     SplitWitness,
+    _postorder,
 )
 from .mobius import CrapoCheck, HallCheck, MobiusTable
 from .poset import Poset, PosetMap
@@ -214,25 +228,56 @@ def complex_from_data(data, where: str = "complex") -> SimplicialComplex:
 # -- witnesses and certificates ---------------------------------------------------
 
 
+def _node_table(roots) -> tuple[list, list[int]]:
+    # the rows of the distinct nodes under `roots`, children first, interned
+    # on (v, link row, deletion row), and the row of each root
+    rows: dict[tuple, int] = {}
+    at: dict[int, int] = {}  # id(node) -> its row
+    for w in _postorder(roots):
+        key = (w.vertex, at[id(w.link)], at[id(w.deletion)]) if w.__class__ is SplitWitness else (w.vertex,)
+        at[id(w)] = rows.setdefault(key, len(rows))
+    return [list(key) for key in rows], [at[id(w)] for w in roots]
+
+
+def _table(data: dict, where: str) -> list:
+    # the witnesses of a node table, decoded in one forward pass; every index
+    # points below its own row, so a shared row comes back as one object
+    if data["format"] != "nodes":
+        raise InputError(f"{where}: unknown format {data['format']!r}")
+    nodes: list = []
+    for i, row in enumerate(_need(data, "nodes", list, where)):
+        at = f"{where}.nodes[{i}]"
+        if not isinstance(row, list) or len(row) not in (1, 3):
+            raise InputError(f"{at}: expected [v] or [v, link, deletion]")
+        _labels(row[:1], at)
+        if len(row) == 1:
+            nodes.append(PointWitness(row[0]))
+        else:
+            nodes.append(SplitWitness(row[0], _node(nodes, row[1], at), _node(nodes, row[2], at)))
+    return nodes
+
+
+def _node(nodes: list, i, where: str):
+    if type(i) is not int or not 0 <= i < len(nodes):
+        raise InputError(f"{where}: expected a node index below {len(nodes)}, got {i!r}")
+    return nodes[i]
+
+
 def witness_to_data(w) -> dict:
-    # an explicit stack of links still to convert, so any depth converts
-    root = {}
-    todo = [(w, root)]
-    while todo:
-        w, out = todo.pop()
-        while not isinstance(w, PointWitness):  # walk the deletion chain in place
-            link, deletion = {}, {}
-            out["split"] = {"v": w.vertex, "link": link, "deletion": deletion}
-            todo.append((w.link, link))
-            w, out = w.deletion, deletion
-        out["point"] = w.vertex
-    return root
+    nodes, (root,) = _node_table((w,))
+    return {"format": "nodes", "nodes": nodes, "root": root}
+
+
+def witness_from_data(data, where: str = "witness"):
+    if isinstance(data, dict) and "format" in data:
+        return _node(_table(data, where), _need(data, "root", None, where), f"{where}.root")
+    return _nested_witness(data, where)
 
 
 _NO_DELETION = object()
 
 
-def witness_from_data(data, where: str = "witness"):
+def _nested_witness(data, where: str):
     # An explicit stack, so a witness of any depth decodes.  Entries are
     # (node, step, None) to decode a node, (None, step, v) for a split
     # waiting on its link and deletion, and (split, "", _NO_DELETION) for a
@@ -282,10 +327,8 @@ def witness_from_data(data, where: str = "witness"):
 
 
 def certificate_to_data(cert: NECertificate) -> dict:
-    return {
-        "removed": list(cert.removed),
-        "witnesses": [witness_to_data(w) for w in cert.witnesses],
-    }
+    nodes, roots = _node_table(cert.witnesses)
+    return {"format": "nodes", "nodes": nodes, "removed": list(cert.removed), "witnesses": roots}
 
 
 def certificate_from_data(data, where: str = "certificate") -> NECertificate:
@@ -293,10 +336,12 @@ def certificate_from_data(data, where: str = "certificate") -> NECertificate:
     wits = _need(data, "witnesses", list, where)
     if len(removed) != len(wits):
         raise InputError(f"{where}: 'removed' and 'witnesses' lengths differ")
-    return NECertificate(
-        tuple(removed),
-        tuple(witness_from_data(w, f"{where}.witnesses[{i}]") for i, w in enumerate(wits)),
-    )
+    if "format" in data:
+        nodes = _table(data, where)
+        wits = [_node(nodes, i, f"{where}.witnesses[{j}]") for j, i in enumerate(wits)]
+    else:
+        wits = [_nested_witness(w, f"{where}.witnesses[{j}]") for j, w in enumerate(wits)]
+    return NECertificate(tuple(removed), tuple(wits))
 
 
 def collapse_to_data(seq: CollapseSequence) -> dict:

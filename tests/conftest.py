@@ -250,6 +250,28 @@ def split_chain(n, along):
     return w
 
 
+def nested_data(w) -> dict:
+    """The nested JSON form of a witness, {"point": v} or {"split": {"v": v,
+    "link": ..., "deletion": ...}}, which the reader still takes; every
+    shared subtree is written out again.  Built on an explicit stack."""
+    root: dict = {}
+    todo = [(w, root)]
+    while todo:
+        w, out = todo.pop()
+        while isinstance(w, SplitWitness):  # walk the deletion chain in place
+            link, deletion = {}, {}
+            out["split"] = {"v": w.vertex, "link": link, "deletion": deletion}
+            todo.append((w.link, link))
+            w, out = w.deletion, deletion
+        out["point"] = w.vertex
+    return root
+
+
+def nested_certificate_data(cert) -> dict:
+    """The nested JSON form of a certificate: one nested witness per step."""
+    return {"removed": list(cert.removed), "witnesses": [nested_data(w) for w in cert.witnesses]}
+
+
 @st.composite
 def posets(draw, min_size=1, max_size=5):
     # relations only go up in label order, so acyclicity is automatic

@@ -2,21 +2,38 @@
 
 import contextlib
 import io
+import itertools
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from poset_collapse import SimplicialComplex, verify_collapse
+import poset_collapse
+from poset_collapse import SimplicialComplex, verify_collapse, verify_ne_certificate
 from poset_collapse import serialization as ser
 from poset_collapse.cli import main
+
+from conftest import nested_certificate_data, nested_data
 
 B2 = {"elements": ["0", "1", "2", "12"], "covers": [["0", "1"], ["0", "2"], ["1", "12"], ["2", "12"]]}
 CLOSURE = {"map": {"0": "2", "1": "12", "2": "2", "12": "12"}}
 COMPOSED = {"map": {"0": "2", "1": "2", "2": "2", "12": "2"}}
 BOUNDARY = {"facets": [["a", "b"], ["b", "c"], ["a", "c"]]}
+
+
+def write_grid(write, k, d):
+    """Files of the grid [k]^d and of its map x -> min(x, 1) coordinatewise."""
+    points = ["".join(map(str, p)) for p in itertools.product(range(k), repeat=d)]
+    covers = [[p, q] for p in points for q in points
+              if sum(map(int, q)) == sum(map(int, p)) + 1 and all(a <= b for a, b in zip(p, q))]
+    image = {p: "".join(min(c, "1") for c in p) for p in points}
+    return write("grid.json", {"elements": points, "covers": covers}), write("grid-map.json", {"map": image})
 
 
 @pytest.fixture
@@ -65,23 +82,18 @@ class TestReduce:
         assert code == 0
         assert json.loads(out)["collapse"]["steps"]
 
-    @pytest.mark.parametrize("flags, code", [([], 0), (["--budget-nodes", "6"], 0), (["--budget-nodes", "5"], 3)])
+    @pytest.mark.parametrize("flags, code", [([], 0), (["--budget-nodes", "4"], 0), (["--budget-nodes", "3"], 3)])
     def test_b2_report_within_the_node_budget(self, files, capsys, flags, code):
-        # the certificate writes 6 witness nodes; the report is unchanged within budget
+        # the certificate writes 4 distinct witness nodes; the report is unchanged within budget
         tmp, write = files
         argv = ["reduce", "--poset", write("b2.json", B2), "--map", write("closure.json", CLOSURE), "--sub", "fix"]
         got, out, err = run(argv + flags, capsys)
-
-        def split(v, link, deletion):
-            return {"split": {"v": v, "link": link, "deletion": deletion}}
-
         report = {
             "certificate": {
+                "format": "nodes",
+                "nodes": [["12"], ["2"], ["12", 1, 1], ["1", 0, 2]],
                 "removed": ["0", "1"],
-                "witnesses": [
-                    split("1", {"point": "12"}, split("12", {"point": "2"}, {"point": "2"})),
-                    {"point": "12"},
-                ],
+                "witnesses": [3, 0],
             },
             "gamma": CLOSURE,
             "removal_order": ["0", "1"],
@@ -89,19 +101,67 @@ class TestReduce:
         expected = report if code == 0 else {"status": "budget-exceeded"}
         assert (got, json.loads(out), err) == (code, dict(expected, seed=0), "")
 
-    @pytest.mark.parametrize("command", ["reduce", "reduce-to-image"])
-    def test_tall_chain_is_over_the_node_budget(self, files, capsys, command):
-        # 0 < a000 < ... < a997 < t with phi = t: 999 distinct witness nodes,
-        # but trees too large to write, so exit 3 before any JSON is built
+    @pytest.mark.parametrize("flags, code", [(["--budget-nodes", "4"], 0), (["--budget-nodes", "3"], 3)])
+    def test_b2_collapse_within_the_step_budget(self, files, capsys, flags, code):
+        # 2 removed vertices and 2 splits compile to 4 elementary collapses
         tmp, write = files
+        argv = ["reduce", "--poset", write("b2.json", B2), "--map", write("closure.json", CLOSURE), "--sub", "fix"]
+        got, out, err = run(argv + ["--emit-collapse"] + flags, capsys)
+        assert (got, err) == (code, "")
+        if code == 0:
+            assert len(json.loads(out)["collapse"]["steps"]) == 4
+        else:
+            assert json.loads(out) == {"status": "budget-exceeded", "seed": 0}
+
+    @staticmethod
+    def tall_chain(write):
+        # 0 < a000 < ... < a997 < t with phi = t: 999 distinct witness nodes,
+        # whose expanded trees have about 2^998 nodes
         labels = ["0", *[f"a{i:03d}" for i in range(998)], "t"]
         poset = write("chain.json", {"elements": labels, "covers": [list(p) for p in zip(labels, labels[1:])]})
-        mapf = write("top.json", {"map": {e: "t" for e in labels}})
-        argv = [command, "--poset", poset, "--map", mapf] + (["--sub", "fix"] if command == "reduce" else [])
+        return labels, poset, write("top.json", {"map": {e: "t" for e in labels}})
+
+    @pytest.mark.parametrize("command", ["reduce", "reduce-to-image"])
+    def test_tall_chain_writes_a_small_certificate(self, files, capsys, command):
+        tmp, write = files
+        labels, poset, mapf = self.tall_chain(write)
+        out_path = tmp / "out.json"
+        argv = [command, "--poset", poset, "--map", mapf, "-o", str(out_path)]
+        assert run(argv + (["--sub", "fix"] if command == "reduce" else []), capsys) == (0, "", "")
+        assert out_path.stat().st_size < 1_000_000
+        data = json.loads(out_path.read_text())
+        assert len(data["certificate"]["nodes"]) <= 999
+        X = SimplicialComplex([labels])
+        assert verify_ne_certificate(X, SimplicialComplex.point("t"), ser.certificate_from_data(data["certificate"]))
+
+    @pytest.mark.parametrize("command", ["reduce", "reduce-to-image", "to-collapse"])
+    def test_tall_chain_collapse_is_over_the_step_budget(self, files, capsys, command):
+        # the collapse would have 2^999 - 1 steps: exit 3 before compiling any
+        tmp, write = files
+        labels, poset, mapf = self.tall_chain(write)
+        if command == "to-collapse":
+            code, out, _ = run(["reduce", "--poset", poset, "--map", mapf, "--sub", "fix"], capsys)
+            cert = write("cert.json", json.loads(out)["certificate"])
+            argv = [command, "--complex", write("chain-cx.json", {"facets": [labels]}), "--certificate", cert]
+        else:
+            argv = [command, "--poset", poset, "--map", mapf, "--emit-collapse"]
+            argv += ["--sub", "fix"] if command == "reduce" else []
         t0 = time.perf_counter()
         got, out, err = run(argv, capsys)
         assert (got, json.loads(out), err) == (3, {"status": "budget-exceeded", "seed": 0}, "")
-        assert time.perf_counter() - t0 < 60
+        assert time.perf_counter() - t0 < 30
+
+    def test_cube_grid_certificate_is_small(self, files, capsys):
+        # the grid [4]^3 with x -> min(x, 1): its expanded witness trees have
+        # 257,188 nodes, and the nested form written before was 78 MB
+        tmp, write = files
+        poset, mapf = write_grid(write, 4, 3)
+        out_path = tmp / "out.json"
+        argv = ["reduce", "--poset", poset, "--map", mapf, "--sub", "fix", "-o", str(out_path)]
+        assert run(argv, capsys) == (0, "", "")
+        assert out_path.stat().st_size < 1_000_000
+        data = json.loads(out_path.read_text())
+        assert len(data["removal_order"]) == 64 - 8 and len(data["certificate"]["nodes"]) < 1100
 
     def test_subset_file(self, files, capsys):
         tmp, write = files
@@ -355,6 +415,25 @@ class TestHygiene:
         _, out2, _ = run(argv, capsys)
         assert out1 == out2
 
+    def test_outputs_do_not_depend_on_the_hash_seed(self, files):
+        # set iteration order changes with PYTHONHASHSEED; the bytes must not
+        tmp, write = files
+        poset, mapf = write_grid(write, 3, 2)
+        cx = write("grid-cx.json", json.loads(_cli(["order-complex", "--poset", poset])[1]))
+        commands = [
+            ["reduce", "--poset", poset, "--map", mapf, "--sub", "fix", "--emit-collapse"],
+            ["nonevasive", "--complex", cx],
+            ["ne-search", "--complex", cx, "--target", write("edge.json", {"facets": [["00", "22"]]})],
+        ]
+        env = dict(os.environ, PYTHONPATH=str(Path(poset_collapse.__file__).parent.parent))
+        for argv in commands:
+            outs = []
+            for seed in ("0", "1"):
+                proc = subprocess.run([sys.executable, "-m", "poset_collapse.cli", *argv], capture_output=True,
+                                      text=True, env=dict(env, PYTHONHASHSEED=seed), check=True)
+                outs.append(proc.stdout)
+            assert outs[0] == outs[1] and outs[0] == canonical(outs[0]), argv[0]
+
     def test_output_file(self, files, capsys):
         tmp, write = files
         poset = write("b2.json", B2)
@@ -494,7 +573,8 @@ SIMPLEX = {"facets": [["a", "b", "c"]]}
 POINT_C = {"facets": [["c"]]}
 
 # each subcommand that reads files, with the flag and the valid content of
-# each file; "witness" and the certificates are made by the CLI itself
+# each file; "witness" and the certificates are made by the CLI itself, and
+# each also comes in the nested form that earlier versions wrote
 FUZZ_COMMANDS = {
     "classify-map": {"--poset": B2, "--map": CLOSURE},
     "decompose": {"--poset": B2, "--map": CLOSURE},
@@ -518,11 +598,12 @@ FUZZ_COMMANDS = {
     "enumerate": {"--complexes": {"complexes": [{"facets": [["a"]]}, SIMPLEX, BOUNDARY]}},
 }
 
+FUZZ_KEYS = ["facets", "elements", "covers", "map", "format", "nodes", "root", "removed", "witnesses"]
 LABEL_LEAVES = st.sampled_from(["0", "1", "2", "12", "a", "b", "c", "d"])
 JSON_TREES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 20) | st.floats() | st.text(max_size=4) | LABEL_LEAVES,
     lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(max_size=8) | st.sampled_from(["facets", "elements", "covers", "map"]), inner, max_size=4),
+    | st.dictionaries(st.text(max_size=8) | st.sampled_from(FUZZ_KEYS), inner, max_size=4),
     max_leaves=12,
 )
 
@@ -554,20 +635,23 @@ def made_files(tmp_path_factory):
     a = cx("a.json", FUZZ_COMMANDS["common-expansion"]["--complex-a"])
     c = cx("c.json", FUZZ_COMMANDS["common-expansion"]["--complex-c"])
     b = cx("b.json", {"facets": [["b", "c"]]})
-    return {
-        "dir": tmp,
+    seeds = {
         "witness": made(["nonevasive", "--complex", simplex], "witness"),
         "cert-simplex": made(["ne-search", "--complex", simplex, "--target", cx("pt.json", POINT_C)], "certificate"),
         "cert-ab": made(["ne-search", "--complex", a, "--target", b], "certificate"),
         "cert-cb": made(["ne-search", "--complex", c, "--target", b], "certificate"),
     }
+    nested = {"witness": nested_data(ser.witness_from_data(seeds["witness"]))}
+    for name in ("cert-simplex", "cert-ab", "cert-cb"):
+        nested[name] = nested_certificate_data(ser.certificate_from_data(seeds[name]))
+    return {"dir": tmp, **seeds, **{f"{name}-nested": data for name, data in nested.items()}}
 
 
 @st.composite
 def mutations(draw, value):
-    """`value` with one node replaced, one label swapped, or one entry
-    dropped or repeated."""
-    if isinstance(value, str):
+    """`value` with one node replaced, one label or index swapped, or one
+    entry dropped or repeated."""
+    if not isinstance(value, (dict, list)):
         return draw(LABEL_LEAVES | JSON_TREES)
     if not value or draw(st.integers(0, 4)) == 0:
         return draw(JSON_TREES)
@@ -593,6 +677,8 @@ def test_fuzzed_input_files_end_in_a_documented_exit_code(made_files, data):
     target = data.draw(st.sampled_from(sorted(files)))
     argv = [command]
     for flag, valid in files.items():
+        if isinstance(valid, str):  # a made file, as written or in the nested form
+            valid = data.draw(st.sampled_from([valid, valid + "-nested"]))
         content = made_files[valid] if isinstance(valid, str) else valid
         if flag == target:
             content = data.draw(JSON_TREES if data.draw(st.integers(0, 3)) == 0 else mutations(content))

@@ -14,6 +14,7 @@ from poset_collapse import (
     Poset,
     SimplicialComplex,
     certificate_to_collapse,
+    classify_ne_equivalence,
     cone_witness,
     delete_vertex,
     free_pairs,
@@ -35,6 +36,7 @@ from poset_collapse import (
 )
 
 from poset_collapse.enumeration import complex_from_masks, iter_antichain_complexes
+from poset_collapse.serialization import complex_to_data
 
 from conftest import (
     betti_equal,
@@ -258,6 +260,13 @@ VOID_OPERANDS = {
     "cone_witness": (cone_witness, (VOID, "a")),
     "certificate_to_collapse": (certificate_to_collapse, (VOID, NO_STEPS)),
     "free_pairs": (free_pairs, (VOID,)),
+    "link": (link, (VOID, "a")),
+    "is_cone": (is_cone, (VOID,)),
+    "reduced_euler": (reduced_euler, (VOID,)),
+    "z2_betti": (z2_betti, (VOID,)),
+    "classify_ne_equivalence": (classify_ne_equivalence, ([VOID],)),
+    "relabel": (relabel, (VOID, {})),
+    "complex_to_data": (complex_to_data, (VOID,)),
 }
 
 

@@ -21,9 +21,11 @@ from poset_collapse import (
     is_nonevasive,
 )
 from poset_collapse import serialization as ser
-from poset_collapse.evasiveness import SplitWitness
+from poset_collapse.cli import main
+from poset_collapse.enumeration import iter_posets, map_from_table, monotone_tables, poset_from_masks
+from poset_collapse.evasiveness import NECertificate, PointWitness, SplitWitness
 
-from conftest import split_chain
+from conftest import nested_certificate_data, nested_data, split_chain
 
 
 def b2():
@@ -165,30 +167,33 @@ class TestDumps:
             ser.dumps(bad)
 
     def test_chain_oracle_matches_stdlib(self):
-        data = ser.witness_to_data(split_chain(3, "deletion"))
+        data = nested_data(split_chain(3, "deletion"))
         assert chain_text(3) == json.dumps(data, indent=2, sort_keys=True) + "\n"
 
     def test_writes_past_the_recursion_limit(self):
         # 1,000 splits are 2,000 JSON levels; the text grows with the square of
         # the depth (about 16 MB here), so 5,000 splits would be 0.4 GB
-        assert ser.dumps(ser.witness_to_data(split_chain(1000, "deletion"))) == chain_text(1000)
+        assert ser.dumps(nested_data(split_chain(1000, "deletion"))) == chain_text(1000)
 
 
 class TestDeepWitnesses:
     @pytest.mark.parametrize("along", ["link", "deletion"])
     def test_codec_round_trips_5000_splits(self, along):
+        # the node table, through its JSON text, and the nested form
         w = split_chain(5000, along)
         data = ser.witness_to_data(w)
-        assert same_witness(ser.witness_from_data(data), w)
+        assert len(data["nodes"]) == 5002  # the points a and b, and one row per split
+        assert same_witness(ser.witness_from_data(json.loads(ser.dumps(data))), w)
+        assert same_witness(ser.witness_from_data(nested_data(w)), w)
 
     def test_error_paths_name_the_node(self):
-        data = ser.witness_to_data(split_chain(3, "link"))
+        data = nested_data(split_chain(3, "link"))
         data["split"]["link"]["split"]["link"]["split"]["deletion"] = {"point": 1}
         with pytest.raises(ser.InputError, match=r"^witness\.link\.link\.deletion: field 'point'"):
             ser.witness_from_data(data)
 
     def test_link_errors_come_before_a_missing_deletion(self):
-        data = ser.witness_to_data(split_chain(2, "deletion"))
+        data = nested_data(split_chain(2, "deletion"))
         del data["split"]["deletion"]
         data["split"]["link"] = {"split": {"v": "a", "link": []}}
         with pytest.raises(ser.InputError, match=r"^witness\.link: field 'link' has the wrong type"):
@@ -202,6 +207,117 @@ class TestDeepWitnesses:
             ser.witness_from_data(
                 {"split": {"v": "a", "link": {"point": "b"}, "deletion": {"split": []}}}, "w"
             )
+
+
+# the certificate `ne-search` writes for the triangle abc down to the point c;
+# each case below changes some of its fields, or of a one-point witness's
+SIMPLEX_CERT = {"format": "nodes", "nodes": [["c"], ["b", 0, 0]], "removed": ["a", "b"], "witnesses": [1, 0]}
+ONE_POINT = {"format": "nodes", "nodes": [["a"]], "root": 0}
+
+BELOW_1 = r"\.nodes\[1\]: expected a node index below 1, got "
+NOT_A_ROW = r": expected \[v\] or \[v, link, deletion\]"
+MALFORMED = {
+    "forward-index": ("certificate", {"nodes": [["c"], ["b", 2, 0], ["a", 0, 0]]}, BELOW_1 + "2"),
+    "self-index": ("certificate", {"nodes": [["c"], ["b", 0, 1]]}, BELOW_1 + "1"),
+    "bool-index": ("certificate", {"nodes": [["c"], ["b", True, 0]]}, BELOW_1 + "True"),
+    "negative-index": ("certificate", {"nodes": [["c"], ["b", 0, -1]]}, BELOW_1 + "-1"),
+    "string-index": ("certificate", {"nodes": [["c"], ["b", "0", 0]]}, BELOW_1 + "'0'"),
+    "two-entries": ("certificate", {"nodes": [["c"], ["b", 0]]}, r"\.nodes\[1\]" + NOT_A_ROW),
+    "empty-row": ("certificate", {"nodes": [[], ["b", 0, 0]]}, r"\.nodes\[0\]" + NOT_A_ROW),
+    "row-not-a-list": ("certificate", {"nodes": ["c", ["b", 0, 0]]}, r"\.nodes\[0\]" + NOT_A_ROW),
+    "int-label": ("certificate", {"nodes": [[3], ["b", 0, 0]]}, r"\.nodes\[0\]\[0\]: labels must be strings, got int"),
+    "list-label": ("certificate", {"nodes": [["c"], [["b"], 0, 0]]}, r"\.nodes\[1\]\[0\]: labels must be strings"),
+    "nodes-not-a-list": ("certificate", {"nodes": {"0": ["c"]}}, r": field 'nodes' has the wrong type"),
+    "witness-index": ("certificate", {"witnesses": [1, 2]}, r"\.witnesses\[1\]: expected a node index below 2, got 2"),
+    "unknown-format": ("certificate", {"format": "tree"}, r": unknown format 'tree'"),
+    "lengths": ("certificate", {"removed": ["a"]}, r": 'removed' and 'witnesses' lengths differ"),
+    "root-index": ("witness", {"root": 1}, r"\.root: expected a node index below 1, got 1"),
+    "root-null": ("witness", {"root": None}, r"\.root: expected a node index below 1, got None"),
+    "root-missing": ("witness", {"root": ...}, r": missing field 'root'"),
+    "witness-format": ("witness", {"format": 2}, r": unknown format 2"),
+}
+
+
+class TestNodeTable:
+    def test_rows_are_children_first_and_interned(self):
+        # the B2 witness of `reduce`: the two points "2" are equal, so one row
+        w = SplitWitness("1", PointWitness("12"), SplitWitness("12", PointWitness("2"), PointWitness("2")))
+        data = {"format": "nodes", "nodes": [["12"], ["2"], ["12", 1, 1], ["1", 0, 2]], "root": 3}
+        assert ser.witness_to_data(w) == data
+        assert ser.witness_from_data(data) == w
+        cert = NECertificate(("0", "1"), (w, PointWitness("12")))
+        assert ser.certificate_to_data(cert) == {
+            "format": "nodes", "nodes": data["nodes"], "removed": ["0", "1"], "witnesses": [3, 0],
+        }
+
+    def test_repeated_rows_come_back_as_one_object(self):
+        inner = SplitWitness("b", PointWitness("c"), PointWitness("c"))
+        equal = SplitWitness("b", PointWitness("c"), PointWitness("c"))
+        w = ser.witness_from_data(ser.witness_to_data(SplitWitness("a", inner, equal)))
+        assert w.link is w.deletion and w.link.link is w.link.deletion
+        cert = ser.certificate_from_data(ser.certificate_to_data(NECertificate(("x", "y"), (inner, inner))))
+        assert cert.witnesses[0] is cert.witnesses[1]
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_equal_certificates_write_the_same_bytes(self, k):
+        # the grid [k]^2 with x -> min(x, 1): the builder shares subtrees, and
+        # the nested reader returns the same certificate with none shared
+        labels = [f"{i}{j}" for i in range(k) for j in range(k)]
+        covers = [(f"{i}{j}", f"{i + 1}{j}") for i in range(k - 1) for j in range(k)]
+        covers += [(f"{i}{j}", f"{i}{j + 1}") for i in range(k) for j in range(k - 1)]
+        P = Poset(labels, covers)
+        phi = PosetMap(P, {x: "".join(min(c, "1") for c in x) for x in labels})
+        cert = theorem_reduce(P, phi, phi.fixed_points()).certificate
+        tree = ser.certificate_from_data(nested_certificate_data(cert))
+        assert tree == cert
+        assert ser.dumps(ser.certificate_to_data(tree)) == ser.dumps(ser.certificate_to_data(cert))
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_tables_name_the_node(self, case, tmp_path):
+        kind, change, message = MALFORMED[case]
+        data = dict(SIMPLEX_CERT if kind == "certificate" else ONE_POINT, **change)
+        data = {key: value for key, value in data.items() if value is not ...}  # ... drops the key
+        read = ser.certificate_from_data if kind == "certificate" else ser.witness_from_data
+        with pytest.raises(ser.InputError, match=f"^{kind}{message}"):
+            read(data)
+        # the CLI reports the file and the node, and exits 2
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        cx = tmp_path / "simplex.json"
+        cx.write_text(json.dumps({"facets": [["a", "b", "c"]]}))
+        flag = "--certificate" if kind == "certificate" else "--witness"
+        command = "to-collapse" if kind == "certificate" else "verify-witness"
+        assert main([command, "--complex", str(cx), flag, str(bad)]) == 2
+
+    def test_every_small_reduction_round_trips(self):
+        # every monotone map on at most 4 elements, onto Fix and onto the image
+        count = 0
+        for n in range(1, 5):
+            for below in iter_posets(n):
+                P = poset_from_masks(below)
+                for table in monotone_tables(below):
+                    phi = map_from_table(P, table)
+                    for Q in (phi.fixed_points(), phi.image()):
+                        cert = theorem_reduce(P, phi, Q).certificate
+                        text = ser.dumps(ser.certificate_to_data(cert))
+                        assert ser.certificate_from_data(json.loads(text)) == cert
+                        count += 1
+        assert count == 2 * 2810
+
+    def test_nested_files_still_load_and_verify(self):
+        # the certificate an earlier `reduce` wrote for B2 with its closure map
+        def split(v, link, deletion):
+            return {"split": {"v": v, "link": link, "deletion": deletion}}
+
+        data = {
+            "removed": ["0", "1"],
+            "witnesses": [split("1", {"point": "12"}, split("12", {"point": "2"}, {"point": "2"})), {"point": "12"}],
+        }
+        P = b2()
+        cert = ser.certificate_from_data(data)
+        assert verify_ne_certificate(order_complex(P), order_complex(P.induced({"2", "12"})), cert)
+        assert ser.witness_from_data(data["witnesses"][0]) == cert.witnesses[0]
+        assert ser.certificate_to_data(cert)["nodes"] == [["12"], ["2"], ["12", 1, 1], ["1", 0, 2]]
 
 
 class TestDiagnostics:
