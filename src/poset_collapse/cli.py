@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import serialization as ser
-from .collapse import certificate_to_collapse, search_collapse
+from .collapse import _collapse_steps, certificate_to_collapse, search_collapse
 from .complexes import ComplexError, order_complex
 from .evasiveness import (
     BUDGET_EXCEEDED,
@@ -26,14 +26,12 @@ from .evasiveness import (
     EVASIVE,
     NOT_FOUND,
     SearchBudget,
-    SplitWitness,
     classify_ne_equivalence,
     common_expansion,
     is_nonevasive,
     replay_certificate,
     search_ne_reduction,
     verify_witness,
-    _postorder,
 )
 from .mobius import crapo_check, hall_check, mobius_table
 from .poset import PosetError, PosetMap, decompose_monotone
@@ -161,15 +159,6 @@ def cmd_ne_search(args):
     Y = _load_complex(args.target)
     result = search_ne_reduction(X, Y, _budget(args))
     return _emit_outcome(args, result, "found", "certificate", ser.certificate_to_data)
-
-
-def _collapse_steps(cert) -> int:
-    # the steps `certificate_to_collapse` emits: one per removed vertex and one
-    # per split of the expanded witness trees, summed over distinct nodes
-    splits: dict[int, int] = {}
-    for w in _postorder(cert.witnesses):
-        splits[id(w)] = 1 + splits[id(w.link)] + splits[id(w.deletion)] if isinstance(w, SplitWitness) else 0
-    return len(cert) + sum(splits[id(w)] for w in cert.witnesses)
 
 
 def _over_budget(args, count: int) -> bool:

@@ -9,12 +9,13 @@ The constructive content of "NE-reduction implies
 collapse": a nonevasive link witness for a vertex v compiles into a collapse
 of the closed star of v, where every elementary step (tau, sigma) of the link
 collapse lifts to (tau+{v}, sigma+{v}) and the terminal pair is ({v}, {v,p})
-for the witness's leaf point p.  The compiler runs on the complex's facet
-masks (`complexes._masks`), emits each step as a pair of masks with every
-enclosing star's vertex already added, and translates the steps to labels
-once at the end.  It checks each witness node as verify_witness does while
-it compiles it, so a certificate is walked once and a bad witness raises
-ComplexError.
+for the witness's leaf point p.  The compiler first replays each link witness
+with the witness kernel (`evasiveness._Kernel._holds`, memoised on (state,
+node)), so a bad witness raises ComplexError; then one small walk emits the
+checked witness as pairs of masks with every enclosing star's vertex already
+added, and the steps are translated to labels once at the end.  The emitter
+computes no link or deletion; verify_collapse replays its output on a
+FaceStore, which shares no code with either walk.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ from .evasiveness import (
     Witness,
     _BudgetHit,
     _Counter,
+    _Facets,
+    _postorder,
 )
 from .poset import _mask_labels
 
@@ -187,33 +190,32 @@ def verify_collapse(X, Y, seq) -> bool:
     return G is not None and store.up.keys() == _faces_m(G).keys()
 
 
-def _star_collapse(F: frozenset, bit: int, w, lift: int, bits: dict, out: list) -> bool:
+def _emit_star(w: Witness, bit: int, bits: dict, out: list) -> None:
     # append the collapse of the closed star of the vertex `bit` onto its
-    # deletion, every face lifted by `lift`; False when w is no witness for
-    # its link.  An unknown or absent vertex, or the only one, has a void link.
-    lk = _link_m(F, bit)
-    if not lk:
-        return False
-    star = lift | bit
-    p = _point_collapse(lk, w, star, bits, out)
-    if not p:
-        return False
-    out.append((star, star | p))
-    return True
+    # deletion, for a witness w that the kernel has checked on its link: a
+    # split at v emits the collapse of its link with every face lifted by v
+    # too, then that of its deletion, and a point p is the terminal pair
+    # (star, star + p).  Each stack entry (w, star) walks one chain of links
+    # and leaves the deletions on the stack.  Nodes are classified as
+    # `_Kernel._holds` classifies them, so a subclass compiles as its base.
+    stack = [(w, bit)]
+    while stack:
+        w, star = stack.pop()
+        while not isinstance(w, PointWitness):
+            stack.append((w.deletion, star))
+            star |= bits[w.vertex]
+            w = w.link
+        out.append((star, star | bits[w.vertex]))
 
 
-def _point_collapse(F: frozenset, w, lift: int, bits: dict, out: list) -> int:
-    # append the collapse of F to a point along the witness recursion, every
-    # face lifted by `lift`; the point's bit, or 0 when w is no witness for F.
-    # Each node is checked as verify_witness checks it.
-    while isinstance(w, SplitWitness):
-        bit = _bit(bits, w.vertex)
-        if not _star_collapse(F, bit, w.link, lift, bits, out):
-            return 0
-        F = _delete_m(F, bit)
-        w = w.deletion
-    bit = _bit(bits, w.vertex) if isinstance(w, PointWitness) else 0
-    return bit if F == {bit} else 0
+def _collapse_steps(cert: NECertificate) -> int:
+    """The number of steps `certificate_to_collapse` emits, without compiling:
+    one per removed vertex and one per split of the expanded witness trees,
+    summed over distinct nodes."""
+    splits: dict[int, int] = {}
+    for w in _postorder(cert.witnesses):
+        splits[id(w)] = 1 + splits[id(w.link)] + splits[id(w.deletion)] if isinstance(w, SplitWitness) else 0
+    return len(cert) + sum(splits[id(w)] for w in cert.witnesses)
 
 
 def _label_steps(out: list, labels: tuple[str, ...]) -> CollapseSequence:
@@ -232,16 +234,19 @@ def witness_to_vertex_collapse(X: SimplicialComplex, v: str, w: Witness) -> Coll
 def certificate_to_collapse(X: SimplicialComplex, cert: NECertificate) -> CollapseSequence:
     """Concatenate the per-vertex star collapses along the certificate's order.
 
-    Each witness is checked node by node while it is compiled, as
-    verify_witness would check it, so it is walked once."""
+    Each step's link witness is first replayed by the witness kernel, as
+    verify_witness replays it, and a bad one raises ComplexError; the checked
+    witness is then emitted by `_emit_star`, which computes no link."""
     bits, F = _masks(X)
+    kernel = _Facets(X.vertices, bits)
     out: list = []
     for x, w in cert.steps():
         bit = _bit(bits, x)
         if not _support(F) & bit:
             raise ComplexError(f"certificate removes unknown vertex {x!r}")
-        if not _star_collapse(F, bit, w, 0, bits, out):
+        if not kernel._holds(_link_m(F, bit), w):
             raise ComplexError(f"certificate witness for {x!r} does not verify")
+        _emit_star(w, bit, bits, out)
         F = _delete_m(F, bit)
     return _label_steps(out, X.vertices)
 

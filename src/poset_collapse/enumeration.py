@@ -211,18 +211,19 @@ def iter_antichain_complexes(n_vertices: int) -> Iterator[tuple[int, ...]]:
     simplicial complex on at most n labeled vertices, as facet-mask tuples."""
     subsets = list(range(1, 1 << n_vertices))
     subsets.sort(key=lambda s: (bin(s).count("1"), s))
-
-    def rec(start: int, chosen: list[int]):
-        for idx in range(start, len(subsets)):
-            s = subsets[idx]
-            if any(c & s == c or c & s == s for c in chosen):
-                continue
-            chosen.append(s)
-            yield tuple(chosen)
-            yield from rec(idx + 1, chosen)
-            chosen.pop()
-
-    yield from rec(0, [])
+    # bit j of clash[i]: subsets[j] contains or lies in subsets[i]
+    clash = [sum(1 << j for j, t in enumerate(subsets) if s & t in (s, t)) for s in subsets]
+    # per depth: the next index to try, the allowed indices, the facets chosen
+    frames = [(0, (1 << len(subsets)) - 1, ())]
+    while frames:
+        start, allowed, chosen = frames.pop()
+        rest = allowed >> start << start
+        if rest:
+            idx = (rest & -rest).bit_length() - 1
+            frames.append((idx + 1, allowed, chosen))
+            chosen += (subsets[idx],)
+            yield chosen
+            frames.append((idx + 1, allowed & ~clash[idx], chosen))
 
 
 # -- converters to the object API ---------------------------------------------------

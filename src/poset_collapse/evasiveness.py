@@ -102,19 +102,11 @@ class SplitWitness:
         return True
 
     def __hash__(self):
+        # the root is hashed as a split even when it is a subclass
         done: dict[int, int] = {}
-        stack = [self]
-        while stack:
-            w = stack[-1]
-            todo = [c for c in (w.link, w.deletion)
-                    if c.__class__ is SplitWitness and id(c) not in done]
-            if todo:
-                stack.extend(todo)
-                continue
-            stack.pop()
-            done[id(w)] = hash((w.vertex, *(done[id(c)] if c.__class__ is SplitWitness else hash(c)
-                                             for c in (w.link, w.deletion))))
-        return done[id(self)]
+        for w in _postorder((self.link, self.deletion)):
+            done[id(w)] = hash((w.vertex, done[id(w.link)], done[id(w.deletion)])) if w.__class__ is SplitWitness else hash(w)
+        return hash((self.vertex, done[id(self.link)], done[id(self.deletion)]))
 
     def __repr__(self):
         parts = []

@@ -43,8 +43,9 @@ class ReductionReport:
 
     Each witness of the certificate is replayed before it is joined with the
     other side of its interval, but the certificate as a whole is checked
-    node by node only with `emit_collapse=True`, while it is compiled into
-    the collapse.  Otherwise check it with `verify_ne_certificate`."""
+    only with `emit_collapse=True`: the compiler replays each step's witness
+    with the witness kernel and then emits its collapse.  Otherwise check it
+    with `verify_ne_certificate`."""
 
     gamma: PosetMap
     removal_order: tuple[str, ...]

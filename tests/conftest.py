@@ -2,19 +2,21 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 import hypothesis.strategies as st
 
 from poset_collapse import (
     VOID,
+    CollapseSequence,
     ComplexError,
     PointWitness,
     Poset,
+    PosetMap,
     SimplicialComplex,
     SplitWitness,
 )
-from poset_collapse.complexes import _delete_m, _link_m, _masks, _support
+from poset_collapse.complexes import _bit, _delete_m, _link_m, _masks, _support
 from poset_collapse.poset import _above_masks as above_masks
 
 LABELS = "abcdefghij"
@@ -160,6 +162,65 @@ def ref_join_witness(w, Y: SimplicialComplex):
     if isinstance(w, PointWitness):
         return ref_cone_witness(SimplicialComplex(ref_join(SimplicialComplex.point(w.vertex), Y)), w.vertex)
     return SplitWitness(w.vertex, ref_join_witness(w.link, Y), ref_join_witness(w.deletion, Y))
+
+
+def ref_certificate_to_collapse(X: SimplicialComplex, cert):
+    """The collapse compiler as a mutual recursion that checks each witness
+    node while it emits its steps, recomputing a link and a deletion at every
+    node of the expanded tree; the reference for `certificate_to_collapse`,
+    error messages included."""
+    bits, F = _masks(X)
+    out: list = []
+    for x, w in cert.steps():
+        bit = _bit(bits, x)
+        if not _support(F) & bit:
+            raise ComplexError(f"certificate removes unknown vertex {x!r}")
+        if not _ref_star_collapse(F, bit, w, 0, bits, out):
+            raise ComplexError(f"certificate witness for {x!r} does not verify")
+        F = _delete_m(F, bit)
+
+    def face(m):
+        return frozenset(v for i, v in enumerate(X.vertices) if m >> i & 1)
+
+    return CollapseSequence(tuple((face(t), face(s)) for t, s in out))
+
+
+def _ref_star_collapse(F: frozenset, bit: int, w, lift: int, bits: dict, out: list) -> bool:
+    # append the collapse of the closed star of the vertex `bit` onto its
+    # deletion, every face lifted by `lift`; False when w is no witness for
+    # its link.  An unknown or absent vertex, or the only one, has a void link.
+    lk = _link_m(F, bit)
+    if not lk:
+        return False
+    star = lift | bit
+    p = _ref_point_collapse(lk, w, star, bits, out)
+    if not p:
+        return False
+    out.append((star, star | p))
+    return True
+
+
+def _ref_point_collapse(F: frozenset, w, lift: int, bits: dict, out: list) -> int:
+    # append the collapse of F to a point along the witness recursion, every
+    # face lifted by `lift`; the point's bit, or 0 when w is no witness for F
+    while isinstance(w, SplitWitness):
+        bit = _bit(bits, w.vertex)
+        if not _ref_star_collapse(F, bit, w.link, lift, bits, out):
+            return 0
+        F = _delete_m(F, bit)
+        w = w.deletion
+    bit = _bit(bits, w.vertex) if isinstance(w, PointWitness) else 0
+    return bit if F == {bit} else 0
+
+
+def grid(k, d):
+    """[k]^d with x -> min(x, 1) coordinatewise."""
+    pts = list(product(range(k), repeat=d))
+    label = {p: "".join(map(str, p)) for p in pts}
+    covers = [(label[p], label[p[:i] + (p[i] + 1,) + p[i + 1:]])
+              for p in pts for i in range(d) if p[i] + 1 < k]
+    P = Poset(label.values(), covers)
+    return P, PosetMap(P, {label[p]: label[tuple(min(x, 1) for x in p)] for p in pts})
 
 
 # -- label-level references for the mask operations of `complexes` ---------------

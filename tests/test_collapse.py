@@ -1,5 +1,6 @@
 """Elementary collapses, sequence search, and witness compilation."""
 
+import json
 import random
 from itertools import combinations
 
@@ -37,9 +38,10 @@ from poset_collapse import (
     witness_to_vertex_collapse,
     z2_betti,
 )
-from poset_collapse import collapse
-from poset_collapse.collapse import FaceStore
-from poset_collapse.complexes import _masks
+from poset_collapse import collapse, evasiveness
+from poset_collapse import serialization as ser
+from poset_collapse.collapse import FaceStore, _collapse_steps
+from poset_collapse.complexes import _link_m, _masks
 from poset_collapse.enumeration import (
     complex_from_masks,
     iter_antichain_complexes,
@@ -49,7 +51,7 @@ from poset_collapse.enumeration import (
     poset_from_masks,
 )
 
-from conftest import betti_equal, complexes
+from conftest import betti_equal, complexes, grid, ref_certificate_to_collapse
 
 
 def annulus():
@@ -296,6 +298,98 @@ class TestCompileChecksWitnessesInline:
                     assert end is not None and verify_collapse(X, end, seq)
                     accepted += 1
         assert rejected > 1000 and accepted >= 11
+
+
+def compiled(compile_, X, cert):
+    """The collapse, or the ComplexError message."""
+    try:
+        return compile_(X, cert)
+    except ComplexError as e:
+        return str(e)
+
+
+def reloaded(cert):
+    """The certificate read back from its node table."""
+    return ser.certificate_from_data(json.loads(ser.dumps(ser.certificate_to_data(cert))))
+
+
+class TestCompilerMatchesRecursiveReference:
+    """The kernel replay plus the emitter against the recursive compiler,
+    which checks and emits in one walk; `_collapse_steps` counts the result."""
+
+    def assert_same(self, X, cert):
+        seq = compiled(certificate_to_collapse, X, cert)
+        assert seq == compiled(ref_certificate_to_collapse, X, cert)
+        return seq
+
+    def test_every_monotone_map_on_four_elements(self):
+        count = 0
+        for n in range(1, 5):
+            for below in iter_posets(n):
+                P = poset_from_masks(below)
+                X = order_complex(P)
+                for table in monotone_tables(below):
+                    phi = map_from_table(P, table)
+                    for Q in (phi.fixed_points(), phi.image()):
+                        cert = theorem_reduce(P, phi, Q).certificate
+                        assert len(self.assert_same(X, cert)) == _collapse_steps(cert)
+                        count += 1
+        assert count == 5620
+
+    @pytest.mark.parametrize("k, d", [(3, 2), (4, 2), (5, 2), (3, 3)])
+    def test_grids_in_memory_and_reloaded(self, k, d):
+        P, phi = grid(k, d)
+        X = order_complex(P)
+        cert = theorem_reduce(P, phi, phi.fixed_points()).certificate
+        for c in (cert, reloaded(cert)):
+            seq = self.assert_same(X, c)
+            assert len(seq) == _collapse_steps(c)
+        assert verify_collapse(X, order_complex(P.induced(phi.fixed_points())), seq)
+
+    def test_corrupted_certificates(self):
+        for P, phi in _seeded_reductions():
+            X = order_complex(P)
+            cert = theorem_reduce(P, phi, phi.fixed_points()).certificate
+            for bad in _corruptions(X, cert):
+                self.assert_same(X, bad)
+
+    def test_subclassed_nodes_compile_as_their_bases(self):
+        class Split(SplitWitness):
+            pass
+
+        class Point(PointWitness):
+            pass
+
+        def subclassed(w):
+            if isinstance(w, SplitWitness):
+                return Split(w.vertex, subclassed(w.link), subclassed(w.deletion))
+            return Point(w.vertex)
+
+        P, phi = _grid_reduction()
+        X = order_complex(P)
+        cert = theorem_reduce(P, phi, phi.fixed_points()).certificate
+        sub = NECertificate(cert.removed, tuple(subclassed(w) for w in cert.witnesses))
+        assert self.assert_same(X, sub) == certificate_to_collapse(X, cert)
+
+
+def test_compiling_the_5x5_grid_memoises_its_links(monkeypatch):
+    # the kernel replays a shared witness node once per state; the recursive
+    # reference computes a link at each of the 5,130 nodes of the expanded trees
+    P, phi = grid(5, 2)
+    X = order_complex(P)
+    cert = theorem_reduce(P, phi, phi.fixed_points()).certificate
+    calls = 0
+
+    def counted(F, bit):
+        nonlocal calls
+        calls += 1
+        return _link_m(F, bit)
+
+    monkeypatch.setattr(collapse, "_link_m", counted)
+    monkeypatch.setattr(evasiveness, "_link_m", counted)
+    monkeypatch.setattr(evasiveness._Facets, "link", staticmethod(counted))
+    assert len(certificate_to_collapse(X, cert)) == _collapse_steps(cert)
+    assert 0 < calls <= 300
 
 
 EDGE = SimplicialComplex([["a", "b"]])

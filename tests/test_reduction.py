@@ -1,6 +1,5 @@
 """The reduction engine: interval witnesses and the main theorem procedure."""
 
-import itertools
 import sys
 from collections import Counter
 
@@ -44,7 +43,7 @@ from poset_collapse.enumeration import (
 )
 from poset_collapse.reduction import _IntervalBuilder
 
-from conftest import betti_equal, posets
+from conftest import betti_equal, grid, posets
 
 
 def b2():
@@ -325,16 +324,6 @@ def ref_theorem_reduce(P, phi, Q, emit_collapse):
     cert = NECertificate(tuple(removed), tuple(witnesses))
     collapse = certificate_to_collapse(order_complex(P), cert) if emit_collapse else None
     return gamma, tuple(removed), cert, collapse
-
-
-def grid(k, d):
-    """[k]^d with x -> min(x, 1) coordinatewise."""
-    pts = list(itertools.product(range(k), repeat=d))
-    label = {p: "".join(map(str, p)) for p in pts}
-    covers = [(label[p], label[p[:i] + (p[i] + 1,) + p[i + 1:]])
-              for p in pts for i in range(d) if p[i] + 1 < k]
-    P = Poset(label.values(), covers)
-    return P, PosetMap(P, {label[p]: label[tuple(min(x, 1) for x in p)] for p in pts})
 
 
 def fallback_subset(phi):

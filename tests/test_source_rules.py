@@ -123,10 +123,8 @@ def test_every_definition_is_named_somewhere_else():
 # limit, so the witness kernel walks explicit stacks and is not listed.
 RECURSIVE = {
     ("enumeration.iter_posets",),  # n, the number of elements
-    ("enumeration.iter_antichain_complexes.rec",),  # the facets chosen so far
     ("evasiveness._decide",),  # at most 512 vertices, the NE searches' cap
     ("evasiveness.search_ne_reduction.dfs",),  # at most 512 vertices, the same cap
-    ("collapse._point_collapse", "collapse._star_collapse"),  # the witness's link depth, at most dim X + 1
 }
 
 
