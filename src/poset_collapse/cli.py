@@ -9,6 +9,12 @@ distinct witness nodes their certificate writes; and for `to-collapse` and
 `--emit-collapse`, the steps of the compiled collapse, counted before it is
 compiled.  Outputs are JSON, byte-stable for a fixed input and seed; the
 seed is recorded in every structured output.
+
+`to-collapse` and `--emit-collapse` compile the certificate to mask pairs
+(`collapse._compile_masks`) and stream the steps from them
+(`serialization.MaskSteps`), in the same bytes that `dumps` gives for the
+labelled `CollapseSequence`.  Every step is compiled and checked before the
+first byte is written, so a bad certificate writes nothing.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import os
 import sys
 
 from . import serialization as ser
-from .collapse import _collapse_steps, certificate_to_collapse, search_collapse
+from .collapse import _collapse_steps, _compile_masks, search_collapse
 from .complexes import ComplexError, order_complex
 from .evasiveness import (
     BUDGET_EXCEEDED,
@@ -59,15 +65,14 @@ def _budget(args) -> SearchBudget:
 def _emit(args, data: dict) -> None:
     data = dict(data)
     data["seed"] = args.seed
-    text = ser.dumps(data)
     if args.output:
         try:
             with open(args.output, "w") as fh:
-                fh.write(text)
+                ser.write_json(data, fh)
         except OSError as e:
             raise ser.InputError(f"{args.output}: {e.strerror or e}") from None
     else:
-        sys.stdout.write(text)
+        ser.write_json(data, sys.stdout)
 
 
 def _emit_outcome(args, result, found: str, key: str, to_data) -> int:
@@ -169,6 +174,12 @@ def _over_budget(args, count: int) -> bool:
     return False
 
 
+def _compiled_collapse(X, cert) -> dict:
+    """The collapse data of `cert` on X, compiled and checked in full before
+    `_emit` writes its first byte, and written from the mask pairs."""
+    return ser.mask_collapse_to_data(_compile_masks(X, cert), X.vertices)
+
+
 def _emit_report(args, P, report) -> int:
     """Emit a reduction report, or budget-exceeded (exit 3) when its certificate
     writes more distinct nodes than --budget-nodes or, with --emit-collapse,
@@ -179,7 +190,7 @@ def _emit_report(args, P, report) -> int:
     if _over_budget(args, max(len(data["certificate"]["nodes"]), steps)):
         return EXIT_BUDGET
     if args.emit_collapse:
-        data["collapse"] = ser.collapse_to_data(certificate_to_collapse(order_complex(P), report.certificate))
+        data["collapse"] = _compiled_collapse(order_complex(P), report.certificate)
     _emit(args, data)
     return EXIT_OK
 
@@ -201,8 +212,7 @@ def cmd_to_collapse(args):
     cert = _load_certificate(args.certificate)
     if _over_budget(args, _collapse_steps(cert)):
         return EXIT_BUDGET
-    seq = certificate_to_collapse(X, cert)
-    _emit(args, ser.collapse_to_data(seq))
+    _emit(args, _compiled_collapse(X, cert))
     return EXIT_OK
 
 

@@ -13,9 +13,11 @@ for the witness's leaf point p.  The compiler first replays each link witness
 with the witness kernel (`evasiveness._Kernel._holds`, memoised on (state,
 node)), so a bad witness raises ComplexError; then one small walk emits the
 checked witness as pairs of masks with every enclosing star's vertex already
-added, and the steps are translated to labels once at the end.  The emitter
-computes no link or deletion; verify_collapse replays its output on a
-FaceStore, which shares no code with either walk.
+added (`_compile_masks`).  `certificate_to_collapse` translates these steps to
+labels once at the end; the CLI writes them as JSON straight from the masks
+(`serialization.MaskSteps`).  The emitter computes no link or deletion;
+verify_collapse replays its output on a FaceStore, which shares no code with
+either walk.
 """
 
 from __future__ import annotations
@@ -232,7 +234,13 @@ def witness_to_vertex_collapse(X: SimplicialComplex, v: str, w: Witness) -> Coll
 
 
 def certificate_to_collapse(X: SimplicialComplex, cert: NECertificate) -> CollapseSequence:
-    """Concatenate the per-vertex star collapses along the certificate's order.
+    """Concatenate the per-vertex star collapses along the certificate's order."""
+    return _label_steps(_compile_masks(X, cert), X.vertices)
+
+
+def _compile_masks(X: SimplicialComplex, cert: NECertificate) -> list[tuple[int, int]]:
+    """The steps of `certificate_to_collapse` as (free, coface) masks over
+    X's vertex index.
 
     Each step's link witness is first replayed by the witness kernel, as
     verify_witness replays it, and a bad one raises ComplexError; the checked
@@ -248,7 +256,7 @@ def certificate_to_collapse(X: SimplicialComplex, cert: NECertificate) -> Collap
             raise ComplexError(f"certificate witness for {x!r} does not verify")
         _emit_star(w, bit, bits, out)
         F = _delete_m(F, bit)
-    return _label_steps(out, X.vertices)
+    return out
 
 
 def search_collapse(X: SimplicialComplex, Y, budget: SearchBudget = DEFAULT_BUDGET):

@@ -105,7 +105,7 @@ class SplitWitness:
         # the root is hashed as a split even when it is a subclass
         done: dict[int, int] = {}
         for w in _postorder((self.link, self.deletion)):
-            done[id(w)] = hash((w.vertex, done[id(w.link)], done[id(w.deletion)])) if w.__class__ is SplitWitness else hash(w)
+            done[id(w)] = hash((w.vertex, done[id(w.link)], done[id(w.deletion)])) if isinstance(w, SplitWitness) else hash(w)
         return hash((self.vertex, done[id(self.link)], done[id(self.deletion)]))
 
     def __repr__(self):
@@ -138,7 +138,7 @@ def _postorder(roots):
             if id(w) in done:
                 stack.pop()
                 continue
-            if w.__class__ is SplitWitness:
+            if isinstance(w, SplitWitness):
                 todo = [c for c in (w.deletion, w.link) if id(c) not in done]
                 if todo:
                     stack += todo

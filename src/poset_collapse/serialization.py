@@ -30,9 +30,13 @@ Output contract of `dumps`: the bytes of
 is a 2-space indent, keys sorted, every string `ensure_ascii`-escaped.  It
 accepts dicts with `str` keys, lists, tuples, strs, ints, bools and None, and
 raises TypeError on anything else, floats included: no output of the CLI
-holds a float or a non-`str` key.  It walks the data on an explicit stack, so
-no nesting depth hits the recursion limit.  Witnesses are converted to and
-from data on explicit stacks too.
+holds a float or a non-`str` key.  It also accepts a `MaskSteps` node, the
+steps of a compiled collapse as int mask pairs over sorted vertex labels,
+and writes it in the same bytes as `collapse_to_data`'s list of steps for
+the labelled sequence, without building that list.  `write_json` streams
+the same text to a file, chunk by chunk.  It walks the data on an explicit
+stack, so no nesting depth hits the recursion limit.  Witnesses are
+converted to and from data on explicit stacks too.
 """
 
 from __future__ import annotations
@@ -62,16 +66,68 @@ class InputError(ValueError):
 _END = object()
 
 
-def dumps(data) -> str:
-    """`json.dumps(data, indent=2, sort_keys=True) + "\\n"`, byte for byte.
+class MaskSteps:
+    """The steps of a compiled collapse as (free, coface) int masks over the
+    sorted vertex labels `labels`: a node that `dumps` writes as the list of
+    steps `collapse_to_data` would give for the same sequence.
 
-    The stdlib's `indent` output runs its pure-Python encoder; this writes
-    the same text with the C string encoder and joins each list of strings
-    (faces, labels) in one call.  A container met again inside itself raises
-    ValueError; a float, a non-`str` key or any other type raises TypeError.
-    """
-    chunks = []
-    emit = chunks.append
+    Every pair is checked here, so a bad one raises ValueError before a byte
+    is written: as a `CollapseSequence` step, its free face lies inside its
+    coface, which has exactly one more vertex; and the free face is not
+    empty, as no face of a complex is."""
+
+    __slots__ = ("pairs", "labels")
+
+    def __init__(self, pairs: list[tuple[int, int]], labels: tuple[str, ...]):
+        if list(labels) != sorted(labels):  # then bit order is `sorted` order
+            raise ValueError("mask steps need sorted labels")
+        n = len(labels)
+        for t, s in pairs:
+            if not t or t & ~s or (s ^ t).bit_count() != 1 or s >> n:
+                raise ValueError(f"malformed step (free mask {t}, coface mask {s})")
+        self.pairs, self.labels = pairs, labels
+
+    def _step_chunks(self, pad: str):
+        # the text of the steps list where `pad` is a newline and its indent
+        if not self.pairs:
+            yield "[]"
+            return
+        p1, p2, p3 = pad + "  ", pad + "    ", pad + "      "
+        enc = [_encode_str(v) for v in self.labels]
+        face_sep = "," + p3
+        # one step, from the joined coface and free face labels
+        template = f'{{{p2}"coface": [{p3}%s{p2}],{p2}"free": [{p3}%s{p2}]{p1}}}'
+        sep, item_sep = "[" + p1, "," + p1
+        for t, s in self.pairs:
+            names = []
+            m = s
+            while m:
+                low = m & -m
+                names.append(enc[low.bit_length() - 1])
+                m ^= low
+            coface = face_sep.join(names)
+            del names[(s & ((s ^ t) - 1)).bit_count()]  # the vertex the free face lacks
+            yield sep + template % (coface, face_sep.join(names))
+            sep = item_sep
+        yield pad + "]"
+
+
+def dumps(data) -> str:
+    """`json.dumps(data, indent=2, sort_keys=True) + "\\n"`, byte for byte."""
+    return "".join(_chunks(data))
+
+
+def write_json(data, fh) -> None:
+    """Write the text of `dumps(data)` to the text file `fh`, a chunk at a time."""
+    fh.writelines(_chunks(data))
+
+
+def _chunks(data):
+    # The text of dumps(data) in order.  The stdlib's `indent` output runs
+    # its pure-Python encoder; this writes the same text with the C string
+    # encoder and joins each list of strings (faces, labels) in one call.  A
+    # container met again inside itself raises ValueError; a float, a
+    # non-`str` key or any other type raises TypeError.
     pads = ["\n"]  # pads[d]: a newline and the indent of depth d
     seps = [",\n"]  # seps[d]: the separator between items at depth d
     stack = []  # open containers: (items iterator, is dict, separator, closer, id)
@@ -79,18 +135,20 @@ def dumps(data) -> str:
     value = data
     while True:
         if isinstance(value, str):
-            emit(_encode_str(value))
+            yield _encode_str(value)
         elif value is None:
-            emit("null")
+            yield "null"
         elif value is True:
-            emit("true")
+            yield "true"
         elif value is False:
-            emit("false")
+            yield "false"
         elif isinstance(value, int):
-            emit(int.__repr__(value))
+            yield int.__repr__(value)
+        elif isinstance(value, MaskSteps):
+            yield from value._step_chunks(pads[len(stack)])
         elif isinstance(value, (list, tuple, dict)):
             if not value:
-                emit("{}" if isinstance(value, dict) else "[]")
+                yield "{}" if isinstance(value, dict) else "[]"
             else:
                 depth = len(stack)
                 if len(pads) == depth + 1:
@@ -105,7 +163,7 @@ def dumps(data) -> str:
                     head, closer = "{" + inner + _encode_str(k) + ": ", outer + "}"
                 else:
                     try:
-                        emit("[" + inner + sep.join(map(_encode_str, value)) + outer + "]")
+                        yield "[" + inner + sep.join(map(_encode_str, value)) + outer + "]"
                     except TypeError:  # not only strings: open the list below
                         items = iter(value)
                         child = next(items)
@@ -115,7 +173,7 @@ def dumps(data) -> str:
                     if key in open_ids:
                         raise ValueError("Circular reference detected")
                     open_ids.add(key)
-                    emit(head)
+                    yield head
                     stack.append((items, is_dict, sep, closer, key))
                     value = child
                     continue
@@ -128,18 +186,18 @@ def dumps(data) -> str:
             if item is _END:
                 stack.pop()
                 open_ids.discard(key)
-                emit(closer)
+                yield closer
             elif is_dict:
                 k, value = item
-                emit(sep + _encode_str(k) + ": ")
+                yield sep + _encode_str(k) + ": "
                 break
             else:
                 value = item
-                emit(sep)
+                yield sep
                 break
         else:
-            emit("\n")
-            return "".join(chunks)
+            yield "\n"
+            return
 
 
 def load_json(path) -> object:
@@ -234,7 +292,7 @@ def _node_table(roots) -> tuple[list, list[int]]:
     rows: dict[tuple, int] = {}
     at: dict[int, int] = {}  # id(node) -> its row
     for w in _postorder(roots):
-        key = (w.vertex, at[id(w.link)], at[id(w.deletion)]) if w.__class__ is SplitWitness else (w.vertex,)
+        key = (w.vertex, at[id(w.link)], at[id(w.deletion)]) if isinstance(w, SplitWitness) else (w.vertex,)
         at[id(w)] = rows.setdefault(key, len(rows))
     return [list(key) for key in rows], [at[id(w)] for w in roots]
 
@@ -350,6 +408,12 @@ def collapse_to_data(seq: CollapseSequence) -> dict:
             {"free": sorted(tau), "coface": sorted(sigma)} for tau, sigma in seq.steps
         ]
     }
+
+
+def mask_collapse_to_data(pairs: list[tuple[int, int]], labels: tuple[str, ...]) -> dict:
+    """`collapse_to_data` of the steps `pairs` over the sorted `labels`,
+    for `dumps` to write without building the labelled steps."""
+    return {"steps": MaskSteps(pairs, labels)}
 
 
 def collapse_from_data(data, where: str = "collapse") -> CollapseSequence:

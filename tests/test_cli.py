@@ -15,7 +15,16 @@ import pytest
 from hypothesis import given, settings
 
 import poset_collapse
-from poset_collapse import SimplicialComplex, verify_collapse, verify_ne_certificate
+from poset_collapse import (
+    SimplicialComplex,
+    certificate_to_collapse,
+    order_complex,
+    reduce_to_image,
+    search_ne_reduction,
+    theorem_reduce,
+    verify_collapse,
+    verify_ne_certificate,
+)
 from poset_collapse import serialization as ser
 from poset_collapse.cli import main
 
@@ -187,6 +196,91 @@ class TestReduce:
         code, _, err = run(["reduce", "--poset", poset, "--map", mapf, "--sub", "fix"], capsys)
         assert code == 2
         assert "monotone" in err
+
+
+class TestStreamedCollapse:
+    """`--emit-collapse` and `to-collapse` write the compiled steps from mask
+    pairs; the text must be `dumps` of the labelled sequence, built here."""
+
+    @staticmethod
+    def expected(data, X, cert) -> str:
+        data = dict(data, seed=0)
+        collapse = ser.collapse_to_data(certificate_to_collapse(X, cert))
+        if "certificate" in data:
+            data["collapse"] = collapse
+        else:
+            data.update(collapse)
+        return ser.dumps(data)
+
+    @pytest.mark.parametrize("k, d", [(3, 2), (4, 2), (5, 2), (3, 3)])
+    def test_grids(self, files, capsys, k, d):
+        tmp, write = files
+        poset, mapf = write_grid(write, k, d)
+        P = ser.poset_from_data(json.loads(Path(poset).read_text()))
+        phi = ser.map_from_data(json.loads(Path(mapf).read_text()), P)
+        X = order_complex(P)
+        for command, report in (("reduce", theorem_reduce(P, phi, phi.fixed_points())),
+                                ("reduce-to-image", reduce_to_image(P, phi))):
+            argv = [command, "--poset", poset, "--map", mapf, "--emit-collapse"]
+            code, out, err = run(argv + (["--sub", "fix"] if command == "reduce" else []), capsys)
+            assert (code, err) == (0, "")
+            assert out == self.expected(ser.reduction_report_to_data(report), X, report.certificate)
+        cert = theorem_reduce(P, phi, phi.fixed_points()).certificate
+        argv = ["to-collapse", "--complex", write("cx.json", ser.complex_to_data(X)),
+                "--certificate", write("cert.json", ser.certificate_to_data(cert))]
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (0, "")
+        assert out == self.expected({}, X, cert)
+
+    def test_escaped_labels(self, files, capsys):
+        # a control character, '"', '\\' and 'é': as a chain for `reduce`, as
+        # a simplex for `to-collapse`
+        tmp, write = files
+        labels = ["\x01", '"', "\\", "\u00e9"]
+        poset = write("chain.json", {"elements": labels, "covers": [list(p) for p in zip(labels, labels[1:])]})
+        mapf = write("top.json", {"map": {v: labels[-1] for v in labels}})
+        code, out, err = run(["reduce", "--poset", poset, "--map", mapf, "--sub", "fix", "--emit-collapse"], capsys)
+        P = ser.poset_from_data(json.loads(Path(poset).read_text()))
+        phi = ser.map_from_data(json.loads(Path(mapf).read_text()), P)
+        report = theorem_reduce(P, phi, phi.fixed_points())
+        assert (code, err) == (0, "")
+        assert out == self.expected(ser.reduction_report_to_data(report), order_complex(P), report.certificate)
+        assert '"\\u00e9"' in out and '"\\u0001"' in out and '"\\""' in out and '"\\\\"' in out
+        X = SimplicialComplex([labels])
+        cert = search_ne_reduction(X, SimplicialComplex.point('"'))
+        argv = ["to-collapse", "--complex", write("cx.json", {"facets": [labels]}),
+                "--certificate", write("cert.json", ser.certificate_to_data(cert))]
+        code, out, err = run(argv, capsys)
+        assert (code, err, out) == (0, "", self.expected({}, X, cert))
+
+    def test_no_steps(self, files, capsys):
+        tmp, write = files
+        cert = write("cert.json", {"format": "nodes", "nodes": [], "removed": [], "witnesses": []})
+        code, out, err = run(["to-collapse", "--complex", write("cx.json", BOUNDARY), "--certificate", cert], capsys)
+        assert (code, err) == (0, "")
+        assert out == '{\n  "seed": 0,\n  "steps": []\n}\n'
+
+    @pytest.mark.parametrize(
+        "cert, message",
+        [
+            # the step for "a" compiles; that for "b" has the point "a" for the point "c"
+            ({"format": "nodes", "nodes": [["c"], ["b", 0, 0], ["a"]], "removed": ["a", "b"], "witnesses": [1, 2]},
+             "certificate witness for 'b' does not verify"),
+            ({"format": "nodes", "nodes": [["b"]], "removed": ["q"], "witnesses": [0]},
+             "certificate removes unknown vertex 'q'"),
+        ],
+        ids=["forged-witness", "unknown-vertex"],
+    )
+    def test_a_bad_certificate_writes_nothing(self, files, capsys, cert, message):
+        # every step is compiled and checked before the first byte is written
+        tmp, write = files
+        argv = ["to-collapse", "--complex", write("cx.json", {"facets": [["a", "b", "c"]]}),
+                "--certificate", write("cert.json", cert)]
+        assert run(argv, capsys) == (2, "", f"error: {message}\n")
+        out_path = tmp / "out.json"
+        out_path.write_bytes(b"earlier bytes\n")
+        assert run(argv + ["-o", str(out_path)], capsys) == (2, "", f"error: {message}\n")
+        assert out_path.read_bytes() == b"earlier bytes\n"
 
 
 class TestClassifyAndDecompose:

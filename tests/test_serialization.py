@@ -22,10 +22,11 @@ from poset_collapse import (
 )
 from poset_collapse import serialization as ser
 from poset_collapse.cli import main
+from poset_collapse.collapse import _collapse_steps, _compile_masks
 from poset_collapse.enumeration import iter_posets, map_from_table, monotone_tables, poset_from_masks
 from poset_collapse.evasiveness import NECertificate, PointWitness, SplitWitness
 
-from conftest import nested_certificate_data, nested_data, split_chain
+from conftest import grid, nested_certificate_data, nested_data, split_chain
 
 
 def b2():
@@ -176,6 +177,56 @@ class TestDumps:
         assert ser.dumps(nested_data(split_chain(1000, "deletion"))) == chain_text(1000)
 
 
+# labels that `ensure_ascii` escapes, sorted: a control character, '"', '\\', 'é'
+ESCAPED = ("\x01", '"', "\\", "\u00e9")
+
+
+class TestMaskSteps:
+    """Compiled steps written from mask pairs against `collapse_to_data` of
+    the labelled sequence, written by the same walker."""
+
+    @staticmethod
+    def both(X, cert):
+        streamed = ser.mask_collapse_to_data(_compile_masks(X, cert), X.vertices)
+        return streamed, ser.collapse_to_data(certificate_to_collapse(X, cert))
+
+    @pytest.mark.parametrize("k, d", [(3, 2), (4, 2), (3, 3)])
+    def test_grid_steps_at_every_depth(self, k, d):
+        P, phi = grid(k, d)
+        X = order_complex(P)
+        streamed, labelled = self.both(X, theorem_reduce(P, phi, phi.fixed_points()).certificate)
+        for wrap in (lambda c: c, lambda c: {"a": [{"collapse": c}], "b": 1}, lambda c: [[c, "x"]]):
+            assert ser.dumps(wrap(streamed)) == ser.dumps(wrap(labelled))
+
+    def test_escaped_labels(self):
+        X = SimplicialComplex.simplex(ESCAPED)
+        assert X.vertices == ESCAPED
+        streamed, labelled = self.both(X, search_ne_reduction(X, SimplicialComplex.point(ESCAPED[0])))
+        text = ser.dumps(streamed)
+        assert text == ser.dumps(labelled) == json.dumps(labelled, indent=2, sort_keys=True) + "\n"
+        assert '"\\u00e9"' in text and '"\\u0001"' in text
+
+    def test_no_steps(self):
+        X = SimplicialComplex.simplex("ab")
+        streamed, labelled = self.both(X, NECertificate((), ()))
+        assert ser.dumps(streamed) == ser.dumps(labelled) == '{\n  "steps": []\n}\n'
+
+    @pytest.mark.parametrize(
+        "pairs, labels",
+        [
+            ([(0b001, 0b011), (0b100, 0b011)], "abc"),  # the free face is not in the coface
+            ([(0b001, 0b111)], "abc"),  # two more vertices
+            ([(0b011, 0b011)], "abc"),  # no more vertex
+            ([(0, 0b001)], "abc"),  # an empty free face
+            ([(0b001, 0b1001)], "abc"),  # a vertex beyond the labels
+            ([(0b01, 0b11)], ("b", "a")),  # labels out of order
+        ],
+    )
+    def test_malformed_steps_raise_before_writing(self, pairs, labels):
+        with pytest.raises(ValueError):
+            ser.mask_collapse_to_data(pairs, tuple(labels))
+
+
 class TestDeepWitnesses:
     @pytest.mark.parametrize("along", ["link", "deletion"])
     def test_codec_round_trips_5000_splits(self, along):
@@ -271,6 +322,23 @@ class TestNodeTable:
         tree = ser.certificate_from_data(nested_certificate_data(cert))
         assert tree == cert
         assert ser.dumps(ser.certificate_to_data(tree)) == ser.dumps(ser.certificate_to_data(cert))
+
+    def test_subclassed_split_is_written_as_a_split(self):
+        # a split is classified by isinstance, as the witness kernel and the
+        # compiler classify it, so a subclass writes, counts and hashes as its base
+        class S(SplitWitness):
+            pass
+
+        X = SimplicialComplex.simplex("abc")
+        sub = NECertificate(("a",), (S("b", PointWitness("c"), PointWitness("c")),))
+        base = NECertificate(("a",), (SplitWitness("b", PointWitness("c"), PointWitness("c")),))
+        assert verify_ne_certificate(X, SimplicialComplex.simplex("bc"), sub)
+        data = ser.certificate_to_data(sub)
+        assert data == ser.certificate_to_data(base)
+        assert data["nodes"] == [["c"], ["b", 0, 0]]
+        assert ser.certificate_from_data(json.loads(ser.dumps(data))) == base
+        assert hash(sub.witnesses[0]) == hash(base.witnesses[0])
+        assert _collapse_steps(sub) == len(certificate_to_collapse(X, sub)) == 2
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_tables_name_the_node(self, case, tmp_path):

@@ -41,6 +41,14 @@ def test_collapse_never_builds_label_face_sets():
     assert not found, f"label facet or face sets used on masks' paths: {found}"
 
 
+def test_cli_compiles_collapses_one_way():
+    # the CLI writes every compiled collapse from mask pairs; the labelled
+    # sequence is for the library and `collapse-search`'s results only
+    words = re.findall(r"\w+", (SRC / "cli.py").read_text())
+    assert "certificate_to_collapse" not in words
+    assert "_compile_masks" in words
+
+
 def _perfbench_constant(name, filename):
     # read from the benchmark's source with `ast`, without importing it
     path = PERFBENCH / filename
