@@ -177,7 +177,7 @@ def _over_budget(args, count: int) -> bool:
 def _compiled_collapse(X, cert) -> dict:
     """The collapse data of `cert` on X, compiled and checked in full before
     `_emit` writes its first byte, and written from the mask pairs."""
-    return ser.mask_collapse_to_data(_compile_masks(X, cert), X.vertices)
+    return {"steps": ser.MaskSteps(_compile_masks(X, cert), X.vertices)}
 
 
 def _emit_report(args, P, report) -> int:

@@ -43,12 +43,11 @@ from .evasiveness import (
     NECertificate,
     PointWitness,
     SearchBudget,
-    SplitWitness,
     Witness,
     _BudgetHit,
     _Counter,
     _Facets,
-    _postorder,
+    _rows,
 )
 from .poset import _mask_labels
 
@@ -213,11 +212,12 @@ def _emit_star(w: Witness, bit: int, bits: dict, out: list) -> None:
 def _collapse_steps(cert: NECertificate) -> int:
     """The number of steps `certificate_to_collapse` emits, without compiling:
     one per removed vertex and one per split of the expanded witness trees,
-    summed over distinct nodes."""
-    splits: dict[int, int] = {}
-    for w in _postorder(cert.witnesses):
-        splits[id(w)] = 1 + splits[id(w.link)] + splits[id(w.deletion)] if isinstance(w, SplitWitness) else 0
-    return len(cert) + sum(splits[id(w)] for w in cert.witnesses)
+    summed over the rows of their node table."""
+    rows, roots = _rows(cert.witnesses)
+    splits: list[int] = []
+    for row in rows:
+        splits.append(1 + splits[row[1]] + splits[row[2]] if len(row) == 3 else 0)
+    return len(cert) + sum(splits[i] for i in roots)
 
 
 def _label_steps(out: list, labels: tuple[str, ...]) -> CollapseSequence:

@@ -70,9 +70,12 @@ class PointWitness:
 class SplitWitness:
     """A split at `vertex`, with witnesses for its link and its deletion.
 
-    `==`, `hash` and `repr` give what the dataclass would generate, but walk
-    the tree on an explicit stack, so they work at any depth.  Equal subtrees
-    may be one shared object; each pair of nodes is compared once."""
+    Two witnesses are equal iff their roots are of one class and they write
+    the same node table (`_rows`), whose inner nodes are classified as the
+    witness kernel classifies them: a split is any `SplitWitness`, subclasses
+    too.  Equality thus ignores how subtrees are shared, and `hash` hashes the
+    table.  `repr` gives the dataclass text.  All three walk the tree on an
+    explicit stack, so they work at any depth."""
 
     vertex: str
     link: "Witness"
@@ -81,32 +84,17 @@ class SplitWitness:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        # every node is alive while both roots are, so ids identify nodes here
-        seen = set()
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if a.__class__ is not SplitWitness or b.__class__ is not SplitWitness:
-                if a != b:
-                    return False
-                continue
-            if (id(a), id(b)) in seen:
-                continue
-            seen.add((id(a), id(b)))
-            if a.vertex != b.vertex:
-                return False
-            stack.append((a.deletion, b.deletion))
-            stack.append((a.link, b.link))
-        return True
+        try:
+            return _rows((self,)) == _rows((other,))
+        except (TypeError, AttributeError):
+            # an unhashable label or a non-witness node: compare as the dataclass does
+            return (self.vertex, self.link, self.deletion) == (other.vertex, other.link, other.deletion)
 
     def __hash__(self):
-        # the root is hashed as a split even when it is a subclass
-        done: dict[int, int] = {}
-        for w in _postorder((self.link, self.deletion)):
-            done[id(w)] = hash((w.vertex, done[id(w.link)], done[id(w.deletion)])) if isinstance(w, SplitWitness) else hash(w)
-        return hash((self.vertex, done[id(self.link)], done[id(self.deletion)]))
+        try:
+            return hash(tuple(_rows((self,))[0]))  # the root is the last row
+        except AttributeError:  # a non-witness node
+            return hash((self.vertex, self.link, self.deletion))
 
     def __repr__(self):
         parts = []
@@ -115,8 +103,8 @@ class SplitWitness:
             text, item = stack.pop()
             if text:
                 parts.append(item)
-            elif item.__class__ is SplitWitness:
-                parts.append(f"SplitWitness(vertex={item.vertex!r}, link=")
+            elif isinstance(item, SplitWitness):
+                parts.append(f"{type(item).__qualname__}(vertex={item.vertex!r}, link=")
                 stack += [(True, ")"), (False, item.deletion), (True, ", deletion="), (False, item.link)]
             else:
                 parts.append(repr(item))
@@ -126,26 +114,33 @@ class SplitWitness:
 Witness = Union[PointWitness, SplitWitness]
 
 
-def _postorder(roots):
-    """The distinct nodes (by id) under the witnesses `roots`, each after its
-    link and then its deletion subtree: the order in which the expanded trees
-    first reach them, however equal subtrees are shared."""
-    done = set()
+def _rows(roots) -> tuple[list[tuple], list[int]]:
+    """The node table of the witnesses `roots`: each distinct row, (v,) for
+    a point v or (v, link row, deletion row) for a split at v, and the row of
+    each root.  Rows come children first, in the order in which the expanded
+    trees first reach them (link before deletion), so equal witnesses give
+    equal tables however their subtrees are shared.  A split is any
+    `SplitWitness`, as the witness kernel classifies it."""
+    rows: dict[tuple, int] = {}
+    at: dict[int, int] = {}  # id(node) -> its row; every node is alive while the roots are
     for root in roots:
         stack = [root]
         while stack:
             w = stack[-1]
-            if id(w) in done:
+            if id(w) in at:
                 stack.pop()
                 continue
             if isinstance(w, SplitWitness):
-                todo = [c for c in (w.deletion, w.link) if id(c) not in done]
+                todo = [c for c in (w.deletion, w.link) if id(c) not in at]
                 if todo:
                     stack += todo
                     continue
+                key = (w.vertex, at[id(w.link)], at[id(w.deletion)])
+            else:
+                key = (w.vertex,)
             stack.pop()
-            done.add(id(w))
-            yield w
+            at[id(w)] = rows.setdefault(key, len(rows))
+    return list(rows), [at[id(w)] for w in roots]
 
 
 @dataclass(frozen=True)
@@ -302,25 +297,22 @@ class _Kernel:
             raise ComplexError("join requires disjoint vertex labels")
         if not self._holds(X, w):
             raise ComplexError("input witness does not verify")
-        return self._transport(w, Y, {})
+        return self._transport((w,), Y)[0]
 
-    def _transport(self, w: Witness, Y, done: dict) -> Witness:
-        # split nodes keep their vertex and each point p becomes the cone over Y
-        # with apex p; `done` is keyed by node id, as every node of the input is
-        # alive while the input is, and shared subtrees are transported once
+    def _transport(self, roots, Y) -> list[Witness]:
+        # the roots' node table, row by row: a split keeps its vertex and each
+        # point p becomes the cone over Y with apex p, so shared and equal
+        # subtrees are transported once
         bits, over, cone = self.bits, self.over, self.cone
-        stack = [(w, False)]
-        while stack:
-            v, ready = stack.pop()
-            if ready:
-                done[id(v)] = SplitWitness(v.vertex, done[id(v.link)], done[id(v.deletion)])
-            elif id(v) not in done:
-                if isinstance(v, PointWitness):
-                    bit = bits[v.vertex]
-                    done[id(v)] = cone(over(Y, bit), bit.bit_length() - 1)
-                else:
-                    stack += ((v, True), (v.deletion, False), (v.link, False))
-        return done[id(w)]
+        rows, at = _rows(roots)
+        out: list[Witness] = []
+        for row in rows:
+            if len(row) == 1:
+                bit = bits[row[0]]
+                out.append(cone(over(Y, bit), bit.bit_length() - 1))
+            else:
+                out.append(SplitWitness(row[0], out[row[1]], out[row[2]]))
+        return [out[i] for i in at]
 
     def _holds(self, S, w) -> bool:
         # `verify_witness` on state S: replay one witness node at a time; a
@@ -471,8 +463,7 @@ def lift_certificate_over_join(
         raise ComplexError("input certificate does not verify")
     vertices = tuple(sorted({*X1.vertices, *Y.vertices}))
     bits, FY = _masks(Y, vertices)
-    kernel, done = _Facets(vertices, bits), {}
-    return NECertificate(cert.removed, tuple(kernel._transport(w, FY, done) for w in cert.witnesses))
+    return NECertificate(cert.removed, tuple(_Facets(vertices, bits)._transport(cert.witnesses, FY)))
 
 
 # -- common expansions (zigzag merging) ------------------------------------------

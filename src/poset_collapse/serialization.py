@@ -13,10 +13,10 @@ Witnesses are written as one node table: each row of "nodes" is ["v"], the
 point v, or ["v", link, deletion], a split at v whose link and deletion are
 the rows at those indices.  Rows are listed children first, so every index
 points below its own row, and "root" and "witnesses" index rows too.  The
-writer keeps one row per distinct (v, link, deletion), so equal witnesses
-write the same bytes however their subtrees were shared, and the reader
-builds the rows in one forward pass, so a loaded witness shares every
-repeated subtree.  A witness or certificate without a "format" field is read
+writer lists the witnesses' node table, `evasiveness._rows`, which keeps one
+row per distinct (v, link, deletion), so equal witnesses write the same bytes
+however their subtrees were shared, and the reader builds the rows in one
+forward pass, so a loaded witness shares every repeated subtree.  A witness or certificate without a "format" field is read
 in the nested form written before the table existed, where a witness is
 {"point": "v"} | {"split": {"v": ..., "link": ..., "deletion": ...}} and a
 certificate is {"removed": [...], "witnesses": [nested witness, ...]}; any
@@ -52,7 +52,7 @@ from .evasiveness import (
     NEClassification,
     PointWitness,
     SplitWitness,
-    _postorder,
+    _rows,
 )
 from .mobius import CrapoCheck, HallCheck, MobiusTable
 from .poset import Poset, PosetMap
@@ -203,13 +203,18 @@ def _chunks(data):
 def load_json(path) -> object:
     p = Path(path)
     try:
-        text = p.read_text()
+        text = p.read_text(encoding="utf-8")  # JSON text is UTF-8 (RFC 8259)
     except OSError as e:
         raise InputError(f"{path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not UTF-8 text: byte {e.start}: {e.reason}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from None
+    except ValueError as e:
+        # an integer past the interpreter's limit on digits for int(str)
+        raise InputError(f"{path}: {e}") from None
     except RecursionError:
         # the stdlib decoder recurses once per nesting level
         raise InputError(f"{path}: JSON nested too deeply to decode") from None
@@ -286,17 +291,6 @@ def complex_from_data(data, where: str = "complex") -> SimplicialComplex:
 # -- witnesses and certificates ---------------------------------------------------
 
 
-def _node_table(roots) -> tuple[list, list[int]]:
-    # the rows of the distinct nodes under `roots`, children first, interned
-    # on (v, link row, deletion row), and the row of each root
-    rows: dict[tuple, int] = {}
-    at: dict[int, int] = {}  # id(node) -> its row
-    for w in _postorder(roots):
-        key = (w.vertex, at[id(w.link)], at[id(w.deletion)]) if isinstance(w, SplitWitness) else (w.vertex,)
-        at[id(w)] = rows.setdefault(key, len(rows))
-    return [list(key) for key in rows], [at[id(w)] for w in roots]
-
-
 def _table(data: dict, where: str) -> list:
     # the witnesses of a node table, decoded in one forward pass; every index
     # points below its own row, so a shared row comes back as one object
@@ -322,8 +316,8 @@ def _node(nodes: list, i, where: str):
 
 
 def witness_to_data(w) -> dict:
-    nodes, (root,) = _node_table((w,))
-    return {"format": "nodes", "nodes": nodes, "root": root}
+    rows, (root,) = _rows((w,))
+    return {"format": "nodes", "nodes": [list(row) for row in rows], "root": root}
 
 
 def witness_from_data(data, where: str = "witness"):
@@ -385,7 +379,8 @@ def _nested_witness(data, where: str):
 
 
 def certificate_to_data(cert: NECertificate) -> dict:
-    nodes, roots = _node_table(cert.witnesses)
+    rows, roots = _rows(cert.witnesses)
+    nodes = [list(row) for row in rows]
     return {"format": "nodes", "nodes": nodes, "removed": list(cert.removed), "witnesses": roots}
 
 
@@ -408,12 +403,6 @@ def collapse_to_data(seq: CollapseSequence) -> dict:
             {"free": sorted(tau), "coface": sorted(sigma)} for tau, sigma in seq.steps
         ]
     }
-
-
-def mask_collapse_to_data(pairs: list[tuple[int, int]], labels: tuple[str, ...]) -> dict:
-    """`collapse_to_data` of the steps `pairs` over the sorted `labels`,
-    for `dumps` to write without building the labelled steps."""
-    return {"steps": MaskSteps(pairs, labels)}
 
 
 def collapse_from_data(data, where: str = "collapse") -> CollapseSequence:

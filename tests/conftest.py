@@ -303,11 +303,12 @@ def ref_z2_betti(X: SimplicialComplex) -> tuple[int, ...]:
     return tuple(len(by_dim[k]) - ranks[k] - ranks[k + 1] for k in range(dim + 1))
 
 
-def split_chain(n, along):
-    """A witness nested n splits deep along its links or its deletions."""
+def split_chain(n, along, split=SplitWitness):
+    """A witness nested n splits deep along its links or its deletions, each
+    split of the class `split`."""
     w = PointWitness("a")
     for _ in range(n):
-        w = SplitWitness("a", w, PointWitness("b")) if along == "link" else SplitWitness("a", PointWitness("b"), w)
+        w = split("a", w, PointWitness("b")) if along == "link" else split("a", PointWitness("b"), w)
     return w
 
 

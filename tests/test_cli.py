@@ -559,6 +559,27 @@ class TestHygiene:
         assert "line 1" in err
 
     @pytest.mark.parametrize(
+        "command, flag, text",
+        [
+            ("nonevasive", "--complex", b'{"facets": [["a\xff"]]}'),  # not UTF-8
+            # past the interpreter's 4,300-digit limit for int(str)
+            ("verify-witness", "--witness", b'{"format": "nodes", "nodes": [["a"]], "root": 1' + b"0" * 4999 + b"}"),
+        ],
+        ids=["not-utf-8", "5000-digit-root"],
+    )
+    def test_undecodable_json_is_exit_2(self, files, capsys, command, flag, text):
+        tmp, write = files
+        bad = tmp / "bad.json"
+        bad.write_bytes(text)
+        argv = [command, flag, str(bad)]
+        if command == "verify-witness":
+            argv += ["--complex", write("point.json", {"facets": [["a"]]})]
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "argv_flag, data",
         [
             ("--complex", {"facets": [["a", ["b"]]]}),

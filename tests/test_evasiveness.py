@@ -58,25 +58,54 @@ def boundary():
     return SimplicialComplex.simplex_boundary("abc")
 
 
+class SubSplit(SplitWitness):
+    """A split subclass that adds nothing."""
+
+
 class TestWitnessDunders:
     def test_repr_is_the_dataclass_text(self):
         w = SplitWitness("a", PointWitness("b"), SplitWitness("c", PointWitness("d"), PointWitness("e")))
-        assert repr(w) == (
+        text = (
             "SplitWitness(vertex='a', link=PointWitness(vertex='b'), deletion=SplitWitness("
             "vertex='c', link=PointWitness(vertex='d'), deletion=PointWitness(vertex='e')))"
         )
+        assert repr(w) == text
+        # a subclass node, at the root or inside, is written with its own class name
+        root = SubSplit("a", w.link, w.deletion)
+        assert repr(root) == text.replace("SplitWitness", "SubSplit", 1)
+        inner = SplitWitness("a", w.link, SubSplit("c", w.deletion.link, w.deletion.deletion))
+        assert repr(inner) == "SubSplit".join(text.rsplit("SplitWitness", 1))
+        assert repr(NECertificate(("x",), (root,))) == f"NECertificate(removed=('x',), witnesses=({root!r},))"
 
-    @pytest.mark.parametrize("along", ["link", "deletion"])
-    def test_5000_splits_at_the_default_recursion_limit(self, along):
-        u, w = split_chain(5000, along), split_chain(5000, along)
+    @pytest.mark.parametrize(
+        "along, split",
+        [
+            pytest.param("link", SplitWitness, id="link"),
+            pytest.param("deletion", SplitWitness, id="deletion"),
+            pytest.param("link", SubSplit, id="link-subclass"),
+            pytest.param("deletion", SubSplit, id="deletion-subclass"),
+        ],
+    )
+    def test_5000_splits_at_the_default_recursion_limit(self, along, split):
+        u, w = split_chain(5000, along, split), split_chain(5000, along, split)
         assert u == w and hash(u) == hash(w)
-        assert u != split_chain(4999, along) and u != PointWitness("a")
+        assert u != split_chain(4999, along, split) and u != PointWitness("a")
         # built outward from the innermost point, as split_chain builds it
         text = "PointWitness(vertex='a')"
         for _ in range(5000):
             pair = (text, "PointWitness(vertex='b')") if along == "link" else ("PointWitness(vertex='b')", text)
-            text = f"SplitWitness(vertex='a', link={pair[0]}, deletion={pair[1]})"
+            text = f"{split.__qualname__}(vertex='a', link={pair[0]}, deletion={pair[1]})"
         assert repr(u) == text
+
+    def test_malformed_trees_compare_as_the_dataclass(self):
+        # trees without a node table: an unhashable label, non-witness children
+        unhashable = SplitWitness(["a"], PointWitness("b"), PointWitness("b"))
+        assert unhashable == SplitWitness(["a"], PointWitness("b"), PointWitness("b"))
+        with pytest.raises(TypeError):
+            hash(unhashable)
+        odd = SplitWitness("a", 3, 4)
+        assert odd == SplitWitness("a", 3, 4) and hash(odd) == hash(SplitWitness("a", 3, 4))
+        assert odd != SplitWitness("a", 3, 5) and odd != unhashable
 
     def test_shared_subtrees_are_compared_and_hashed_once(self):
         # link and deletion are one object: 60 nodes spell a tree of 2^60

@@ -187,7 +187,7 @@ class TestMaskSteps:
 
     @staticmethod
     def both(X, cert):
-        streamed = ser.mask_collapse_to_data(_compile_masks(X, cert), X.vertices)
+        streamed = {"steps": ser.MaskSteps(_compile_masks(X, cert), X.vertices)}
         return streamed, ser.collapse_to_data(certificate_to_collapse(X, cert))
 
     @pytest.mark.parametrize("k, d", [(3, 2), (4, 2), (3, 3)])
@@ -224,7 +224,7 @@ class TestMaskSteps:
     )
     def test_malformed_steps_raise_before_writing(self, pairs, labels):
         with pytest.raises(ValueError):
-            ser.mask_collapse_to_data(pairs, tuple(labels))
+            ser.MaskSteps(pairs, tuple(labels))
 
 
 class TestDeepWitnesses:
@@ -325,8 +325,12 @@ class TestNodeTable:
 
     def test_subclassed_split_is_written_as_a_split(self):
         # a split is classified by isinstance, as the witness kernel and the
-        # compiler classify it, so a subclass writes, counts and hashes as its base
+        # compiler classify it, so a subclass writes, counts and hashes as its
+        # base, and an inner subclass node, point or split, compares as its base
         class S(SplitWitness):
+            pass
+
+        class Q(PointWitness):
             pass
 
         X = SimplicialComplex.simplex("abc")
@@ -339,6 +343,10 @@ class TestNodeTable:
         assert ser.certificate_from_data(json.loads(ser.dumps(data))) == base
         assert hash(sub.witnesses[0]) == hash(base.witnesses[0])
         assert _collapse_steps(sub) == len(certificate_to_collapse(X, sub)) == 2
+        inner = SplitWitness("a", sub.witnesses[0], Q("b"))
+        twin = SplitWitness("a", base.witnesses[0], PointWitness("b"))
+        assert inner == twin and hash(inner) == hash(twin)
+        assert sub.witnesses[0] != base.witnesses[0]  # the root classes differ
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_tables_name_the_node(self, case, tmp_path):

@@ -49,6 +49,23 @@ def test_cli_compiles_collapses_one_way():
     assert "_compile_masks" in words
 
 
+def test_witness_nodes_are_classified_by_isinstance():
+    # every walk tells a split from a point as the witness kernel does, by
+    # isinstance; `w.__class__ is SplitWitness` would part a subclass from its
+    # base.  The root check of `SplitWitness.__eq__` compares two classes.
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            for op, *pair in zip(node.ops, operands, operands[1:]):
+                names = {getattr(e, "attr", getattr(e, "id", None)) for e in pair}
+                if isinstance(op, (ast.Is, ast.IsNot)) and "__class__" in names and names & {"SplitWitness", "PointWitness"}:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"witness nodes classified by their exact class: {found}"
+
+
 def _perfbench_constant(name, filename):
     # read from the benchmark's source with `ast`, without importing it
     path = PERFBENCH / filename
