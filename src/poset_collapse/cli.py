@@ -54,9 +54,12 @@ def _budget(args) -> SearchBudget:
     nodes = args.budget_nodes
     if nodes is None:
         env = os.environ.get("POSET_COLLAPSE_BUDGET") or str(DEFAULT_BUDGET.max_nodes)
-        if not env.isdigit() or int(env) == 0:
+        try:
+            nodes = int(env) if env.isdigit() else 0
+        except ValueError:  # digits that int() does not read, such as "²"
+            nodes = 0
+        if not nodes:
             raise ser.InputError(f"POSET_COLLAPSE_BUDGET must be a positive integer, got {env!r}")
-        nodes = int(env)
     if nodes <= 0 or args.budget_vertices <= 0:
         raise ser.InputError("--budget-nodes and --budget-vertices must be positive")
     return SearchBudget(max_vertices=args.budget_vertices, max_nodes=nodes)

@@ -79,11 +79,13 @@ class FaceStore:
 
     A face tau is free iff its count is 1: any larger coface would contain two
     codimension-one cofaces of tau.  Its one coface sigma then has count 0.
-    The facets are the faces of count 0 and are kept as a set.  Checking and
-    removing a pair cost O(dim) int operations, not a rebuild of the complex.
+    The facets are the faces of count 0 and are kept as a set.  A step costs
+    O(dim) int and dict operations in an inline bit loop, not a rebuild.
+    `free_pairs` sorts by `rank`, each face's key in label order, kept from
+    the face's first time free on, across restores; replay builds none.
     """
 
-    __slots__ = ("up", "facets")
+    __slots__ = ("up", "facets", "rank")
 
     def __init__(self, F):
         """`F` are the facet masks; the store holds all their submasks."""
@@ -96,6 +98,7 @@ class FaceStore:
                 rest ^= low
         self.up = up
         self.facets = {f for f, c in up.items() if not c}
+        self.rank: dict[int, str] = {}
 
     def is_free(self, tau: int, sigma: int) -> bool:
         up = self.up
@@ -111,45 +114,45 @@ class FaceStore:
         up = self.up
         out = []
         for sigma in self.facets:
-            for tau in self._boundary(0, sigma):  # the nonempty facets of sigma
-                if up.get(tau) == 1:
-                    out.append((tau, sigma))
-        # tau's bits from bit 0 up, with "2" for an absent vertex, sort as its labels do
-        out.sort(key=lambda p: bin(p[0])[:1:-1].replace("0", "2"))
-        return out
-
-    def _boundary(self, tau: int, sigma: int):
-        # the faces whose coface count a collapse of (tau, sigma) changes:
-        # the nonempty facets of sigma other than tau, then those of tau
-        for face in (sigma, tau):
-            rest = face
+            rest = sigma if sigma & (sigma - 1) else 0  # a vertex has no nonempty facet
             while rest:
                 low = rest & -rest
                 rest ^= low
-                if face ^ low not in (0, tau):
-                    yield face ^ low
+                if up[sigma ^ low] == 1:
+                    out.append((sigma ^ low, sigma))
+        # tau's bits from bit 0 up, with "2" for an absent vertex, sort as its labels do
+        rank = self.rank
+        out.sort(key=lambda p: rank.get(p[0]) or rank.setdefault(p[0], bin(p[0])[:1:-1].replace("0", "2")))
+        return out
 
     def remove(self, tau: int, sigma: int) -> None:
         """Collapse the free pair (tau, sigma); the caller checks freeness."""
         up, facets = self.up, self.facets
         del up[tau], up[sigma]
         facets.remove(sigma)
-        for f in self._boundary(tau, sigma):
-            c = up[f] - 1
-            up[f] = c
-            if not c:
-                facets.add(f)
+        rest = tau  # the faces whose counts change: sigma - v and tau - v for each v in tau
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            for f in (sigma ^ low, tau ^ low) if tau != low else (sigma ^ low,):
+                c = up[f] - 1
+                up[f] = c
+                if not c:
+                    facets.add(f)
 
     def restore(self, tau: int, sigma: int) -> None:
         """Undo remove(tau, sigma)."""
         up, facets = self.up, self.facets
-        for f in self._boundary(tau, sigma):
-            c = up[f]
-            if not c:
-                facets.remove(f)
-            up[f] = c + 1
-        up[tau] = 1
-        up[sigma] = 0
+        rest = tau
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            for f in (sigma ^ low, tau ^ low) if tau != low else (sigma ^ low,):
+                c = up[f]
+                if not c:
+                    facets.remove(f)
+                up[f] = c + 1
+        up[tau], up[sigma] = 1, 0
         facets.add(sigma)
 
 

@@ -245,15 +245,23 @@ def _support(F: frozenset[int]) -> int:
 def _link_m(F: frozenset[int], bit: int) -> frozenset[int]:
     # the link of an antichain of facets is an antichain, so it needs no
     # maximalization; {v} is a facet only when v is isolated (void link)
-    return frozenset(f ^ bit for f in F if f & bit and f != bit)
+    return frozenset([f ^ bit for f in F if f & bit and f != bit])
 
 
 def _delete_m(F: frozenset[int], bit: int) -> frozenset[int]:
-    # facets without v stay maximal; a facet cut by v can only fall inside
-    # one of those, since two cut facets nest only if the uncut ones did
+    # facets without v stay maximal; a facet cut by v can only fall inside one
+    # of those (cut facets nest only if uncut ones did); a generator here cost more
     keep = [f for f in F if not f & bit]
-    cut = [f ^ bit for f in F if f & bit]
-    return frozenset(keep + [r for r in cut if r and not any(r & g == r for g in keep)])
+    out = keep[:]
+    for f in F:
+        if f & bit and f != bit:
+            r = f ^ bit
+            for g in keep:
+                if r & g == r:
+                    break
+            else:
+                out.append(r)
+    return frozenset(out)
 
 
 def join(X: SimplicialComplex, Y: SimplicialComplex) -> SimplicialComplex:

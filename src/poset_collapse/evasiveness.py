@@ -74,8 +74,8 @@ class SplitWitness:
     the same node table (`_rows`), whose inner nodes are classified as the
     witness kernel classifies them: a split is any `SplitWitness`, subclasses
     too.  Equality thus ignores how subtrees are shared, and `hash` hashes the
-    table.  `repr` gives the dataclass text.  All three walk the tree on an
-    explicit stack, so they work at any depth."""
+    table, which `==` builds only for distinct roots of one class and vertex.
+    `repr` gives the dataclass text.  All three work at any depth, on stacks."""
 
     vertex: str
     link: "Witness"
@@ -84,6 +84,8 @@ class SplitWitness:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
+        if other is self or (self.vertex,) != (other.vertex,):  # root rows compare as rows do
+            return other is self
         try:
             return _rows((self,)) == _rows((other,))
         except (TypeError, AttributeError):
@@ -203,9 +205,8 @@ class _Counter:
 
 
 def _decide(F: frozenset, memo: dict, counter: _Counter, labels: tuple[str, ...]):
-    hit = memo.get(F)
-    if hit is not None:
-        return hit
+    # F is not in `memo`: a hit spends nothing and most lookups hit, so callers
+    # save the call with `memo.get(S) or _decide(S, ...)` (no value is falsy)
     counter.spend()
     verts = _support(F)
     if not verts & (verts - 1):
@@ -218,10 +219,10 @@ def _decide(F: frozenset, memo: dict, counter: _Counter, labels: tuple[str, ...]
             lk = _link_m(F, bit)
             if not lk:
                 continue
-            wl = _decide(lk, memo, counter, labels)
+            wl = memo.get(lk) or _decide(lk, memo, counter, labels)
             if wl is EVASIVE:
                 continue
-            wd = _decide(_delete_m(F, bit), memo, counter, labels)
+            wd = memo.get(dl := _delete_m(F, bit)) or _decide(dl, memo, counter, labels)
             if wd is EVASIVE:
                 continue
             result = SplitWitness(labels[bit.bit_length() - 1], wl, wd)
@@ -423,7 +424,7 @@ def search_ne_reduction(
             lk = _link_m(F, bit)
             if not lk:
                 continue
-            w = _decide(lk, memo, counter, labels)
+            w = memo.get(lk) or _decide(lk, memo, counter, labels)
             if w is EVASIVE:
                 continue
             rest = dfs(_delete_m(F, bit))

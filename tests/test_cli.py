@@ -651,7 +651,8 @@ class TestHygiene:
         assert code == 2
         assert err == "error: --budget-nodes and --budget-vertices must be positive\n" and out == ""
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5"])
+    # "²" passes str.isdigit but not int()
+    @pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5", "\u00b2"])
     def test_bad_env_budget_is_exit_2(self, files, capsys, monkeypatch, value):
         tmp, write = files
         cx = write("edge.json", {"facets": [["a", "b"]]})

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 
 from poset_collapse import (
     BUDGET_EXCEEDED,
+    DEFAULT_BUDGET,
     EVASIVE,
     VOID,
     NOT_FOUND,
@@ -40,7 +41,7 @@ from poset_collapse import (
 )
 from poset_collapse import collapse, evasiveness
 from poset_collapse import serialization as ser
-from poset_collapse.collapse import FaceStore, _collapse_steps
+from poset_collapse.collapse import FaceStore, _collapse_steps, _label_steps
 from poset_collapse.complexes import _link_m, _masks
 from poset_collapse.enumeration import (
     complex_from_masks,
@@ -657,3 +658,69 @@ class TestSearchMatchesRebuild:
             for nodes in (1, 2, 3, 5, 8, 13, 1_000_000):
                 budget = SearchBudget(max_nodes=nodes)
                 assert as_lists(search_collapse(X, Y, budget)) == as_lists(rebuild_search(X, Y, budget))
+
+
+SEARCH_BUDGETS = [SearchBudget(max_nodes=n) for n in (1, 2, 3, 5, 8, 13)] + [DEFAULT_BUDGET]
+SMALL_COMPLEXES = [complex_from_masks(m) for m in iter_antichain_complexes(4)]
+
+
+def store_free_pairs(store, X):
+    """The store's free pairs, labelled by X's vertices."""
+    return list(_label_steps(store.free_pairs(), X.vertices))
+
+
+def store_complex(store, X):
+    return SimplicialComplex._from_masks(X.vertices, frozenset(store.facets))
+
+
+class TestSearchMatchesRebuildEverywhere:
+    """Every complex on at most four vertices, every target, every budget:
+    a moved spend or a wrong pair order fails here, not only in a draw."""
+
+    @pytest.mark.parametrize("budget", SEARCH_BUDGETS, ids=lambda b: str(b.max_nodes))
+    def test_every_complex_to_a_point_and_to_every_induced_target(self, budget):
+        outcomes = set()
+        for X in SMALL_COMPLEXES:
+            vs = X.vertices
+            targets = [None] + [induced_subcomplex(X, keep) for k in range(1, len(vs) + 1)
+                                for keep in combinations(vs, k)]
+            for Y in targets:
+                if Y is VOID:
+                    continue
+                got = search_collapse(X, Y, budget)
+                assert as_lists(got) == as_lists(rebuild_search(X, Y, budget)), (X, Y)
+                outcomes.add(got if got in (NOT_FOUND, BUDGET_EXCEEDED) else CollapseSequence)
+        assert CollapseSequence in outcomes and NOT_FOUND in outcomes
+        if budget.max_nodes < 5:
+            assert BUDGET_EXCEEDED in outcomes
+
+    def test_free_pairs_after_every_remove_and_restore(self):
+        def walk(store, X, seen):
+            pairs = store_free_pairs(store, X)
+            assert pairs == rebuild_free_pairs(store_complex(store, X))
+            key = frozenset(store.facets)
+            if key in seen:
+                return
+            seen.add(key)
+            for tau, sigma in store.free_pairs():
+                store.remove(tau, sigma)
+                walk(store, X, seen)
+                store.restore(tau, sigma)
+                assert store_free_pairs(store, X) == pairs
+
+        states = 0
+        for X in SMALL_COMPLEXES:
+            F = _masks(X)[1]
+            assert not FaceStore(F).rank  # built by free_pairs only
+            seen: set = set()
+            walk(FaceStore(F), X, seen)
+            states += len(seen)
+            # a rank built after a step, then met by the face restore brings back
+            for tau, sigma in FaceStore(F).free_pairs():
+                store = FaceStore(F)
+                store.remove(tau, sigma)
+                after = store_free_pairs(store, X)
+                assert after == rebuild_free_pairs(store_complex(store, X))
+                store.restore(tau, sigma)
+                assert store_free_pairs(store, X) == rebuild_free_pairs(X)
+        assert states > 1000

@@ -35,6 +35,7 @@ from poset_collapse import (
     verify_witness,
     z2_betti,
 )
+from poset_collapse import evasiveness
 from poset_collapse.complexes import _delete_m, _link_m, _masks
 from poset_collapse.enumeration import complex_from_masks, iter_antichain_complexes
 from poset_collapse.poset import _mask_labels
@@ -106,6 +107,20 @@ class TestWitnessDunders:
         odd = SplitWitness("a", 3, 4)
         assert odd == SplitWitness("a", 3, 4) and hash(odd) == hash(SplitWitness("a", 3, 4))
         assert odd != SplitWitness("a", 3, 5) and odd != unhashable
+
+    def test_equality_builds_no_table_for_one_object_or_differing_roots(self, monkeypatch):
+        built = []
+        rows = evasiveness._rows
+        monkeypatch.setattr(evasiveness, "_rows", lambda roots: built.append(len(roots)) or rows(roots))
+        u = split_chain(5000, "link")
+        assert u == u and not u != u
+        assert u != SplitWitness("b", u.link, u.deletion) and u != SubSplit("a", u.link, u.deletion)
+        assert SubSplit("a", u.link, u.deletion) != u
+        nan = float("nan")  # one object that is not equal to itself, as rows compare it
+        assert SplitWitness(nan, u, u) != SplitWitness(float("nan"), u, u)
+        assert not built
+        assert SplitWitness(nan, u, u) == SplitWitness(nan, u, u)
+        assert u == split_chain(5000, "link") and built == [1, 1, 1, 1]
 
     def test_shared_subtrees_are_compared_and_hashed_once(self):
         # link and deletion are one object: 60 nodes spell a tree of 2^60

@@ -66,6 +66,25 @@ def test_witness_nodes_are_classified_by_isinstance():
     assert not found, f"witness nodes classified by their exact class: {found}"
 
 
+def test_search_steps_make_no_generators():
+    # FaceStore's methods, `_link_m` and `_delete_m` run once or more per node
+    # of every search; a generator there costs a frame per call and a resume
+    # per item, more than the few ints it yields
+    scopes = {"collapse.py": ("FaceStore",), "complexes.py": ("_link_m", "_delete_m")}
+    found, seen = [], set()
+    for name, defs in scopes.items():
+        path = SRC / name
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if getattr(node, "name", None) not in defs:
+                continue
+            seen.add(node.name)
+            for sub in ast.walk(node):
+                if isinstance(sub, (ast.Yield, ast.YieldFrom, ast.GeneratorExp)):
+                    found.append(f"{name}:{sub.lineno} {type(sub).__name__}")
+    assert seen == {d for defs in scopes.values() for d in defs}
+    assert not found, f"generators on the search steps: {found}"
+
+
 def _perfbench_constant(name, filename):
     # read from the benchmark's source with `ast`, without importing it
     path = PERFBENCH / filename
