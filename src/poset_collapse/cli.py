@@ -14,7 +14,18 @@ seed is recorded in every structured output.
 (`collapse._compile_masks`) and stream the steps from them
 (`serialization.MaskSteps`), in the same bytes that `dumps` gives for the
 labelled `CollapseSequence`.  Every step is compiled and checked before the
-first byte is written, so a bad certificate writes nothing.
+first byte is written, so a bad certificate writes nothing.  The step count
+checked against `--budget-nodes` comes from the node table the report
+writes, so `reduce --emit-collapse` walks the witnesses once.
+
+`main` builds the argument parser on its first call and reuses it for every
+later call in the process: building it costs milliseconds, as much as a
+small command, and in-process callers (the test suite, the benchmark) call
+`main` many times.  It is not built at import, so importing the package
+stays cheap.  The parser holds no functions, only the name of each
+command's `cmd_*` function: `main` looks the name up in this module when it
+runs the command, so a `cmd_*` replaced after the first call is the one
+that runs.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ import os
 import sys
 
 from . import serialization as ser
-from .collapse import _collapse_steps, _compile_masks, search_collapse
+from .collapse import _collapse_steps, _compile_masks, _table_steps, search_collapse
 from .complexes import ComplexError, order_complex
 from .evasiveness import (
     BUDGET_EXCEEDED,
@@ -68,12 +79,12 @@ def _budget(args) -> SearchBudget:
 def _emit(args, data: dict) -> None:
     data = dict(data)
     data["seed"] = args.seed
-    if args.output:
+    if args.output is not None:  # "" too, which names no file
         try:
             with open(args.output, "w") as fh:
                 ser.write_json(data, fh)
         except OSError as e:
-            raise ser.InputError(f"{args.output}: {e.strerror or e}") from None
+            raise ser.InputError(f"{args.output or repr('')}: {e.strerror or e}") from None
     else:
         ser.write_json(data, sys.stdout)
 
@@ -189,8 +200,9 @@ def _emit_report(args, P, report) -> int:
     would compile to more collapse steps; `report` has no collapse yet, and
     it is compiled only within the budget."""
     data = ser.reduction_report_to_data(report)
-    steps = _collapse_steps(report.certificate) if args.emit_collapse else 0
-    if _over_budget(args, max(len(data["certificate"]["nodes"]), steps)):
+    table = data["certificate"]
+    steps = _table_steps(table["nodes"], table["witnesses"]) if args.emit_collapse else 0
+    if _over_budget(args, max(len(table["nodes"]), steps)):
         return EXIT_BUDGET
     if args.emit_collapse:
         data["collapse"] = _compiled_collapse(order_complex(P), report.certificate)
@@ -292,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn.__name__)  # a name, looked up when main runs it
         p.add_argument("--output", "-o", help="write JSON here instead of stdout")
         p.add_argument("--seed", type=int, default=0, help="recorded in outputs")
         p.add_argument("--budget-nodes", type=int, default=None)
@@ -364,11 +376,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None  # built by the first `main` call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()[args.fn](args)
     except (ser.InputError, PosetError, ComplexError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

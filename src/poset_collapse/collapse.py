@@ -76,6 +76,10 @@ class FaceStore:
     """Mutable face set of a complex, as int masks over its sorted vertex index
     (callers translate labels), each face mapped to its number of
     codimension-one cofaces (the Hasse diagram of the face poset, by counts).
+    The cofaces of tau are tau + v for the vertices v outside tau of the
+    facets over tau, so the store is built in one pass over the facets'
+    submasks: each face's count is the popcount of the OR of the facets that
+    contain it (its coface support), minus its own.
 
     A face tau is free iff its count is 1: any larger coface would contain two
     codimension-one cofaces of tau.  Its one coface sigma then has count 0.
@@ -89,14 +93,14 @@ class FaceStore:
 
     def __init__(self, F):
         """`F` are the facet masks; the store holds all their submasks."""
-        up = _faces_m(F)
-        for f in up:
-            rest = f if f & (f - 1) else 0  # a vertex has no nonempty facet
-            while rest:
-                low = rest & -rest
-                up[f ^ low] += 1
-                rest ^= low
-        self.up = up
+        support: dict[int, int] = {}
+        get = support.get
+        for f in F:
+            s = f
+            while s:
+                support[s] = get(s, 0) | f
+                s = (s - 1) & f
+        self.up = up = {s: u.bit_count() - s.bit_count() for s, u in support.items()}
         self.facets = {f for f, c in up.items() if not c}
         self.rank: dict[int, str] = {}
 
@@ -191,7 +195,7 @@ def verify_collapse(X, Y, seq) -> bool:
     except (TypeError, ValueError):  # a step that is not a pair of faces
         return False
     G = _masks(Y, X.vertices)[1]  # None when Y has a vertex X lacks
-    return G is not None and store.up.keys() == _faces_m(G).keys()
+    return G is not None and store.up.keys() == _faces_m(G)
 
 
 def _emit_star(w: Witness, bit: int, bits: dict, out: list) -> None:
@@ -216,11 +220,16 @@ def _collapse_steps(cert: NECertificate) -> int:
     """The number of steps `certificate_to_collapse` emits, without compiling:
     one per removed vertex and one per split of the expanded witness trees,
     summed over the rows of their node table."""
-    rows, roots = _rows(cert.witnesses)
+    return _table_steps(*_rows(cert.witnesses))
+
+
+def _table_steps(rows, roots) -> int:
+    """`_collapse_steps` from a certificate's node table (`_rows`, or the
+    lists of its JSON), whose `roots` are one row per removed vertex."""
     splits: list[int] = []
     for row in rows:
         splits.append(1 + splits[row[1]] + splits[row[2]] if len(row) == 3 else 0)
-    return len(cert) + sum(splits[i] for i in roots)
+    return len(roots) + sum(splits[i] for i in roots)
 
 
 def _label_steps(out: list, labels: tuple[str, ...]) -> CollapseSequence:

@@ -225,14 +225,14 @@ def _sub_masks(X: SimplicialComplex, Y: SimplicialComplex) -> frozenset[int]:
     return G
 
 
-def _faces_m(F: Iterable[int]) -> dict[int, int]:
-    """All nonempty faces of the facets F, by submask enumeration, as the keys
-    of a new dict that maps each to 0 (a FaceStore's counts start there)."""
-    out = {}
+def _faces_m(F: Iterable[int]) -> set[int]:
+    """All nonempty faces of the facets F, by submask enumeration."""
+    out = set()
+    add = out.add
     for f in F:
         s = f
         while s:
-            out[s] = 0
+            add(s)
             s = (s - 1) & f
     return out
 

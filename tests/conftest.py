@@ -276,6 +276,13 @@ def ref_faces(X: SimplicialComplex) -> frozenset:
     return frozenset(seen)
 
 
+def ref_coface_counts(X: SimplicialComplex) -> dict:
+    """Each face of X with its number of codimension-one cofaces: the faces
+    tau + v for a vertex v outside tau."""
+    faces = ref_faces(X)
+    return {f: sum(f | {v} in faces for v in X.vertices if v not in f) for f in faces}
+
+
 def ref_reduced_euler(X: SimplicialComplex) -> int:
     return sum(-1 if len(f) % 2 == 0 else 1 for f in ref_faces(X)) - 1
 

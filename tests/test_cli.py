@@ -550,6 +550,13 @@ class TestHygiene:
         assert code == 2
         assert "Traceback" not in err and err.startswith(f"error: {tmp}: ")
 
+    def test_empty_output_path_is_exit_2(self, files, capsys):
+        # "" names no file: an error, not a silent fallback to stdout
+        tmp, write = files
+        poset = write("b2.json", B2)
+        code, out, err = run(["order-complex", "--poset", poset, "-o", ""], capsys)
+        assert (code, out, err) == (2, "", "error: '': No such file or directory\n")
+
     def test_malformed_json_is_exit_2_with_position(self, files, capsys):
         tmp, write = files
         bad = tmp / "bad.json"
@@ -804,3 +811,120 @@ def test_fuzzed_input_files_end_in_a_documented_exit_code(made_files, data):
     code, out, err = _cli(argv)
     assert code in (0, 1, 2, 3), (argv, err)
     assert "Traceback" not in err
+
+
+# -- one parser per process, commands run by name looked up at call time ---------
+
+
+def _run_any(argv) -> tuple[int, str, str]:
+    """`_cli`, with argparse's exit (a usage error or --help) as the code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestParserReuse:
+    def test_import_builds_no_parser(self):
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+            "import poset_collapse.cli as cli\n"
+            "print(len(built), cli._parser)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(poset_collapse.__file__).parent.parent))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert proc.stdout == "0 None\n"
+
+    def test_many_calls_build_one_parser(self, files, monkeypatch):
+        import poset_collapse.cli as cli
+
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        tmp, write = files
+        poset = write("b2.json", B2)
+        for argv in (["order-complex", "--poset", poset], ["mobius", "--poset", poset], ["mobius"], ["--help"]):
+            _run_any(argv)
+        assert len(built) == 1
+
+    def test_repeated_runs_are_identical(self, files):
+        tmp, write = files
+        poset, mapf = write_grid(write, 3, 2)
+        for argv in (
+            ["reduce", "--poset", poset, "--map", mapf, "--sub", "fix", "--emit-collapse"],
+            ["reduce", "--poset", poset, "--map", mapf, "--sub", "fix", "--emit-collapse", "--budget-nodes", "3"],
+            ["reduce", "--poset", poset],
+            ["reduce", "--poset", poset, "--map", mapf, "--sub", "fix", "--no-such-flag"],
+            ["--help"],
+            ["reduce", "--help"],
+        ):
+            first = _run_any(argv)
+            assert first[0] in (0, 2, 3) and first[1] + first[2]
+            assert _run_any(argv) == _run_any(argv) == first, argv
+
+    @pytest.mark.parametrize("command", sorted(FUZZ_COMMANDS))
+    def test_a_patched_command_is_the_one_called(self, monkeypatch, command):
+        import poset_collapse.cli as cli
+
+        _run_any(["--help"])  # the parser is built before the patch
+        called = []
+        monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"), lambda args: called.append(args.command) or 7)
+        argv = [command] + [word for flag in FUZZ_COMMANDS[command] for word in (flag, "unread.json")]
+        assert _run_any(argv) == (7, "", "")
+        assert called == [command]
+
+    @pytest.mark.parametrize("command", [None] + sorted(FUZZ_COMMANDS))
+    def test_help_equals_a_fresh_parser(self, monkeypatch, command):
+        import poset_collapse.cli as cli
+
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = ([] if command is None else [command]) + ["--help"]
+        _run_any(argv)  # the reused parser exists from here on
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+            cli.build_parser().parse_args(argv)
+        assert _run_any(argv) == (0, out.getvalue(), "")
+        assert out.getvalue().startswith("usage: poset-collapse")
+
+
+# -- the report's node table, walked once ------------------------------------------
+
+
+@pytest.mark.parametrize("k, d", [(3, 2), (4, 2), (5, 2), (3, 3)])
+def test_emit_collapse_walks_the_node_table_once(files, monkeypatch, k, d):
+    # after theorem_reduce, `_rows` runs once: for the certificate's JSON,
+    # whose table also gives the step count checked against --budget-nodes
+    import poset_collapse.cli as cli
+    from poset_collapse import evasiveness
+    from poset_collapse.collapse import _collapse_steps
+
+    rows, walks, counts = evasiveness._rows, [], []
+    for module in (evasiveness, poset_collapse.collapse, ser):
+        monkeypatch.setattr(module, "_rows", lambda roots: walks.append(len(roots)) or rows(roots))
+    reduce = cli.theorem_reduce
+
+    def reduced(*a):
+        report = reduce(*a)
+        walks.clear()  # the walks that built the witnesses
+        return report
+
+    monkeypatch.setattr(cli, "theorem_reduce", reduced)
+    over = cli._over_budget
+    monkeypatch.setattr(cli, "_over_budget", lambda args, count: counts.append(count) or over(args, count))
+    tmp, write = files
+    poset, mapf = write_grid(write, k, d)
+    code, out, err = _cli(["reduce", "--poset", poset, "--map", mapf, "--sub", "fix", "--emit-collapse"])
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert walks == [len(data["removal_order"])]
+    cert = ser.certificate_from_data(data["certificate"])
+    steps = _collapse_steps(cert)
+    assert steps == len(data["collapse"]["steps"])
+    assert counts == [max(len(data["certificate"]["nodes"]), steps)] and steps > len(data["certificate"]["nodes"])

@@ -43,6 +43,7 @@ from poset_collapse import collapse, evasiveness
 from poset_collapse import serialization as ser
 from poset_collapse.collapse import FaceStore, _collapse_steps, _label_steps
 from poset_collapse.complexes import _link_m, _masks
+from poset_collapse.poset import _mask_labels
 from poset_collapse.enumeration import (
     complex_from_masks,
     iter_antichain_complexes,
@@ -52,7 +53,7 @@ from poset_collapse.enumeration import (
     poset_from_masks,
 )
 
-from conftest import betti_equal, complexes, grid, ref_certificate_to_collapse
+from conftest import betti_equal, complexes, grid, ref_certificate_to_collapse, ref_coface_counts
 
 
 def annulus():
@@ -638,6 +639,22 @@ class TestFaceStore:
             assert free_pairs(X) == rebuild_free_pairs(X)
             budget = SearchBudget()
             assert as_lists(search_collapse(X, None, budget)) == as_lists(rebuild_search(X, None, budget))
+
+
+@pytest.mark.parametrize("family", ["up to 4 vertices", (3, 2), (4, 2), (5, 2), (3, 3)], ids=str)
+def test_store_counts_match_label_coface_counts(family):
+    # the one-pass build (popcount of the facets' OR over each face, minus the
+    # face) against counting the cofaces tau + v on label sets
+    if family == "up to 4 vertices":
+        Xs = [complex_from_masks(m) for m in iter_antichain_complexes(4)]
+    else:
+        Xs = [order_complex(grid(*family)[0])]
+    for X in Xs:
+        store = FaceStore(_masks(X)[1])
+        labelled = {_mask_labels(f, X.vertices): c for f, c in store.up.items()}
+        assert len(labelled) == len(store.up) == X.n_faces()
+        assert labelled == ref_coface_counts(X)
+        assert {_mask_labels(f, X.vertices) for f in store.facets} == X.facets
 
 
 def as_lists(result):
