@@ -11,10 +11,11 @@ compiled.  Outputs are JSON, byte-stable for a fixed input and seed; the
 seed is recorded in every structured output.
 
 `to-collapse` and `--emit-collapse` compile the certificate to mask pairs
-(`collapse._compile_masks`) and stream the steps from them
-(`serialization.MaskSteps`), in the same bytes that `dumps` gives for the
-labelled `CollapseSequence`.  Every step is compiled and checked before the
-first byte is written, so a bad certificate writes nothing.  The step count
+(`collapse._compile_masks`), and they and `collapse-search` write the
+`CollapseSequence` node that holds them; `serialization.write_json` streams
+its steps from the pairs, in the bytes of `collapse_to_data`, and builds no
+label set.  Every step is compiled and checked before the first byte is
+written, so a bad certificate writes nothing.  The step count
 checked against `--budget-nodes` comes from the node table the report
 writes, so `reduce --emit-collapse` walks the witnesses once.
 
@@ -35,7 +36,7 @@ import os
 import sys
 
 from . import serialization as ser
-from .collapse import _collapse_steps, _compile_masks, _table_steps, search_collapse
+from .collapse import CollapseSequence, _collapse_steps, _compile_masks, _table_steps, search_collapse
 from .complexes import ComplexError, order_complex
 from .evasiveness import (
     BUDGET_EXCEEDED,
@@ -191,7 +192,7 @@ def _over_budget(args, count: int) -> bool:
 def _compiled_collapse(X, cert) -> dict:
     """The collapse data of `cert` on X, compiled and checked in full before
     `_emit` writes its first byte, and written from the mask pairs."""
-    return {"steps": ser.MaskSteps(_compile_masks(X, cert), X.vertices)}
+    return {"steps": CollapseSequence._from_masks(X.vertices, _compile_masks(X, cert))}
 
 
 def _emit_report(args, P, report) -> int:
@@ -237,7 +238,7 @@ def cmd_collapse_search(args):
     if Y is None and not args.to_point:
         raise ser.InputError("collapse-search needs --target FILE or --to-point")
     result = search_collapse(X, Y, _budget(args))
-    return _emit_outcome(args, result, "found", "sequence", ser.collapse_to_data)
+    return _emit_outcome(args, result, "found", "sequence", lambda seq: {"steps": seq})
 
 
 def cmd_mobius(args):

@@ -2,8 +2,10 @@
 
 A free face is a face with exactly one proper coface; removing the open pair
 is an elementary collapse.  Replay, search and the one-shot helpers all step
-one FaceStore of int face masks (see there) and translate labels only at the
-edges: the steps in, and the found path or free pairs out.
+one FaceStore of int face masks (see there).  A `CollapseSequence` holds
+(free, coface) mask pairs, which the compiler, the search, the JSON reader
+and writer and the replay pass on as they are; labels are built only when
+it is iterated.
 
 The constructive content of "NE-reduction implies
 collapse": a nonevasive link witness for a vertex v compiles into a collapse
@@ -13,16 +15,13 @@ for the witness's leaf point p.  The compiler first replays each link witness
 with the witness kernel (`evasiveness._Kernel._holds`, memoised on (state,
 node)), so a bad witness raises ComplexError; then one small walk emits the
 checked witness as pairs of masks with every enclosing star's vertex already
-added (`_compile_masks`).  `certificate_to_collapse` translates these steps to
-labels once at the end; the CLI writes them as JSON straight from the masks
-(`serialization.MaskSteps`).  The emitter computes no link or deletion;
-verify_collapse replays its output on a FaceStore, which shares no code with
-either walk.
+added (`_compile_masks`), which `certificate_to_collapse` and the CLI wrap
+as a sequence over X's vertex tuple without translating a label.  The
+emitter computes no link or deletion; verify_collapse replays its output on
+a FaceStore, which shares no code with either walk.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .complexes import (
     ComplexError,
@@ -49,27 +48,72 @@ from .evasiveness import (
     _Facets,
     _rows,
 )
-from .poset import _mask_labels
+from .poset import _mask_labels, _remap
 
 Step = tuple[frozenset, frozenset]
 
 
-@dataclass(frozen=True)
 class CollapseSequence:
-    """Ordered (free face, coface) pairs; replay removes both open faces each step."""
+    """Ordered (free face, coface) pairs; replay removes both open faces each step.
 
-    steps: tuple[Step, ...]
+    Stored, as a complex stores its facets, as (free, coface) int masks over
+    the sorted tuple `vertices`: the steps' labels, or the `vertices` given.
+    Iterating, and `steps`, give the labelled pairs; `==` and `hash` go by
+    them, whatever the vertex tuple."""
 
-    def __post_init__(self):
-        for tau, sigma in self.steps:
+    __slots__ = ("vertices", "_pairs")
+
+    def __init__(self, steps, vertices=None):
+        steps = [(frozenset(tau), frozenset(sigma)) for tau, sigma in steps]
+        for tau, sigma in steps:
             if len(sigma) != len(tau) + 1 or not tau < sigma:
                 raise ValueError(f"malformed step ({sorted(tau)}, {sorted(sigma)})")
+        names = set().union(*(sigma for _, sigma in steps))  # a coface holds its free face
+        vertices = names if vertices is None else set(vertices)
+        if not names <= vertices:
+            raise ValueError("the vertices do not hold every step label")
+        self.vertices = tuple(sorted(vertices))
+        bits = {v: 1 << i for i, v in enumerate(self.vertices)}
+        self._pairs = tuple((sum(map(bits.get, tau)), sum(map(bits.get, sigma))) for tau, sigma in steps)
+
+    @classmethod
+    def _from_masks(cls, vertices: tuple[str, ...], pairs) -> "CollapseSequence":
+        """Mask pairs over the sorted labels `vertices`, with no label
+        translated.  Each is checked as a step with a nonempty free face, so
+        a bad one raises ValueError before a writer streams the sequence."""
+        if list(vertices) != sorted(vertices):  # then bit order is `sorted` order
+            raise ValueError("mask steps need sorted labels")
+        n = len(vertices)
+        for t, s in pairs:
+            if not t or t & ~s or (s ^ t).bit_count() != 1 or s >> n:
+                raise ValueError(f"malformed step (free mask {t}, coface mask {s})")
+        self = object.__new__(cls)
+        self.vertices, self._pairs = vertices, tuple(pairs)
+        return self
+
+    @property
+    def steps(self) -> tuple[Step, ...]:
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self._pairs)
 
     def __iter__(self):
-        return iter(self.steps)
+        labels = self.vertices
+        for t, s in self._pairs:
+            tau = _mask_labels(t, labels)
+            yield tau, tau | {labels[(s ^ t).bit_length() - 1]}
+
+    def __eq__(self, other):
+        if not isinstance(other, CollapseSequence):
+            return NotImplemented
+        return self._pairs == other._pairs if self.vertices == other.vertices else self.steps == other.steps
+
+    def __hash__(self):
+        return hash(self.steps)
+
+    def __repr__(self):
+        return f"CollapseSequence(steps={self.steps!r})"
 
 
 class FaceStore:
@@ -163,7 +207,7 @@ class FaceStore:
 def free_pairs(X: SimplicialComplex) -> list[Step]:
     """All (tau, sigma) with sigma the unique face properly containing tau,
     in lexicographic order."""
-    return list(_label_steps(FaceStore(_masks(X)[1]).free_pairs(), X.vertices))
+    return list(CollapseSequence._from_masks(X.vertices, FaceStore(X._F).free_pairs()))
 
 
 def apply_collapse(X: SimplicialComplex, tau: frozenset, sigma: frozenset) -> SimplicialComplex:
@@ -180,22 +224,33 @@ def apply_collapse(X: SimplicialComplex, tau: frozenset, sigma: frozenset) -> Si
 def verify_collapse(X, Y, seq) -> bool:
     """Replay semantics: every step must be free and the end state must equal Y.
 
-    The replay runs on one FaceStore of X, independent of how seq was built."""
+    The replay runs on one FaceStore of X, independent of how seq was built,
+    on seq's mask pairs, re-indexed once when seq's vertex tuple is not X's."""
     both_complexes = isinstance(X, SimplicialComplex) and isinstance(Y, SimplicialComplex)
     if not both_complexes or not isinstance(seq, CollapseSequence):
         return False
-    bits, F = _masks(X)
-    store = FaceStore(F)
     try:
-        for tau, sigma in seq:
-            t, s = _mask(tau, bits), _mask(sigma, bits)
+        pairs = seq._pairs if seq.vertices == X.vertices else _reindexed(seq, X.vertices)
+        store = FaceStore(X._F)
+        for t, s in pairs:
             if not store.is_free(t, s):
                 return False
             store.remove(t, s)
-    except (TypeError, ValueError):  # a step that is not a pair of faces
+    except (TypeError, ValueError):  # a step that is not a pair of int masks over X
         return False
     G = _masks(Y, X.vertices)[1]  # None when Y has a vertex X lacks
     return G is not None and store.up.keys() == _faces_m(G)
+
+
+def _reindexed(seq: CollapseSequence, vertices: tuple[str, ...]):
+    """seq's pairs over the index `vertices`; ValueError when a step has a
+    bit of a label outside it or beyond seq's own vertex tuple."""
+    bits = {v: 1 << i for i, v in enumerate(vertices)}
+    moved = [_bit(bits, v) for v in seq.vertices]
+    lost = sum(1 << i for i, m in enumerate(moved) if not m) | -1 << len(moved)
+    if any((t | s) & lost for t, s in seq._pairs):
+        raise ValueError("a step leaves the vertex index")
+    return [tuple(_remap(pair, moved)) for pair in seq._pairs]
 
 
 def _emit_star(w: Witness, bit: int, bits: dict, out: list) -> None:
@@ -232,14 +287,6 @@ def _table_steps(rows, roots) -> int:
     return len(roots) + sum(splits[i] for i in roots)
 
 
-def _label_steps(out: list, labels: tuple[str, ...]) -> CollapseSequence:
-    # in place, so each mask pair is freed as its labelled pair is built
-    for i, (t, s) in enumerate(out):
-        tau = _mask_labels(t, labels)
-        out[i] = (tau, tau | {labels[(s ^ t).bit_length() - 1]})
-    return CollapseSequence(tuple(out))
-
-
 def witness_to_vertex_collapse(X: SimplicialComplex, v: str, w: Witness) -> CollapseSequence:
     """Collapse sequence realizing X down to X minus v, from a witness for lk_X v."""
     return certificate_to_collapse(X, NECertificate((v,), (w,)))
@@ -247,7 +294,7 @@ def witness_to_vertex_collapse(X: SimplicialComplex, v: str, w: Witness) -> Coll
 
 def certificate_to_collapse(X: SimplicialComplex, cert: NECertificate) -> CollapseSequence:
     """Concatenate the per-vertex star collapses along the certificate's order."""
-    return _label_steps(_compile_masks(X, cert), X.vertices)
+    return CollapseSequence._from_masks(X.vertices, _compile_masks(X, cert))
 
 
 def _compile_masks(X: SimplicialComplex, cert: NECertificate) -> list[tuple[int, int]]:
@@ -263,7 +310,8 @@ def _compile_masks(X: SimplicialComplex, cert: NECertificate) -> list[tuple[int,
     for x, w in cert.steps():
         bit = _bit(bits, x)
         if not _support(F) & bit:
-            raise ComplexError(f"certificate removes unknown vertex {x!r}")
+            known = "already removed" if bit else "unknown"
+            raise ComplexError(f"certificate removes {known} vertex {x!r}")
         if not kernel._holds(_link_m(F, bit), w):
             raise ComplexError(f"certificate witness for {x!r} does not verify")
         _emit_star(w, bit, bits, out)
@@ -301,7 +349,7 @@ def search_collapse(X: SimplicialComplex, Y, budget: SearchBudget = DEFAULT_BUDG
         while True:
             if arrived:
                 if len(store.up) == goal:
-                    return _label_steps(path, X.vertices)
+                    return CollapseSequence._from_masks(X.vertices, path)
                 key = frozenset(store.facets)
                 if key in dead:
                     store.restore(*path.pop())

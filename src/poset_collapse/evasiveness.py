@@ -28,6 +28,8 @@ are deterministic (vertices explored in label order) and budget-bounded.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import starmap, zip_longest
+from operator import eq
 from typing import Sequence, Union
 
 from .complexes import (
@@ -74,7 +76,8 @@ class SplitWitness:
     the same node table (`_rows`), whose inner nodes are classified as the
     witness kernel classifies them: a split is any `SplitWitness`, subclasses
     too.  Equality thus ignores how subtrees are shared, and `hash` hashes the
-    table, which `==` builds only for distinct roots of one class and vertex.
+    table.  `==` walks the two tables only for distinct roots of one class and
+    vertex, side by side (`_walk_rows`), and stops at the first row that differs.
     `repr` gives the dataclass text.  All three work at any depth, on stacks."""
 
     vertex: str
@@ -86,8 +89,8 @@ class SplitWitness:
             return NotImplemented
         if other is self or (self.vertex,) != (other.vertex,):  # root rows compare as rows do
             return other is self
-        try:
-            return _rows((self,)) == _rows((other,))
+        try:  # row by row, up to the first row that differs
+            return all(starmap(eq, zip_longest(_walk_rows((self,), {}), _walk_rows((other,), {}))))
         except (TypeError, AttributeError):
             # an unhashable label or a non-witness node: compare as the dataclass does
             return (self.vertex, self.link, self.deletion) == (other.vertex, other.link, other.deletion)
@@ -123,8 +126,16 @@ def _rows(roots) -> tuple[list[tuple], list[int]]:
     trees first reach them (link before deletion), so equal witnesses give
     equal tables however their subtrees are shared.  A split is any
     `SplitWitness`, as the witness kernel classifies it."""
+    at: dict[int, int] = {}
+    rows = list(_walk_rows(roots, at))
+    return rows, [at[id(w)] for w in roots]
+
+
+def _walk_rows(roots, at: dict):
+    """The rows of `_rows(roots)`, each yielded as the walk first makes it,
+    so a caller can stop early; `at` gets each node's row, keyed by id(node),
+    and every node is alive while the roots are."""
     rows: dict[tuple, int] = {}
-    at: dict[int, int] = {}  # id(node) -> its row; every node is alive while the roots are
     for root in roots:
         stack = [root]
         while stack:
@@ -141,8 +152,10 @@ def _rows(roots) -> tuple[list[tuple], list[int]]:
             else:
                 key = (w.vertex,)
             stack.pop()
-            at[id(w)] = rows.setdefault(key, len(rows))
-    return list(rows), [at[id(w)] for w in roots]
+            n = len(rows)
+            at[id(w)] = i = rows.setdefault(key, n)
+            if i == n:
+                yield key
 
 
 @dataclass(frozen=True)

@@ -23,20 +23,24 @@ certificate is {"removed": [...], "witnesses": [nested witness, ...]}; any
 other "format" is an input error.
 
 Every element and vertex label is a JSON string; loaders reject anything
-else with InputError.
+else with InputError.  A repeated label in a poset's "elements" is an
+InputError that names it; one inside a face (a facet, a collapse step's
+"free" or "coface") is read as a set.  A collapse is decoded straight to
+mask pairs over the sorted union of its step labels, with no label set or
+position string built unless the data is malformed; an empty "free" face
+reads, and replay rejects it.
 
 Output contract of `dumps`: the bytes of
 `json.dumps(data, indent=2, sort_keys=True)` plus a trailing newline, that
 is a 2-space indent, keys sorted, every string `ensure_ascii`-escaped.  It
 accepts dicts with `str` keys, lists, tuples, strs, ints, bools and None, and
 raises TypeError on anything else, floats included: no output of the CLI
-holds a float or a non-`str` key.  It also accepts a `MaskSteps` node, the
-steps of a compiled collapse as int mask pairs over sorted vertex labels,
-and writes it in the same bytes as `collapse_to_data`'s list of steps for
-the labelled sequence, without building that list.  `write_json` streams
-the same text to a file, chunk by chunk.  It walks the data on an explicit
-stack, so no nesting depth hits the recursion limit.  Witnesses are
-converted to and from data on explicit stacks too.
+holds a float or a non-`str` key.  It also accepts a `CollapseSequence`
+node with string labels, and writes it from its mask pairs in the same
+bytes as the list of steps of `collapse_to_data`, without building that
+list.  `write_json` streams the same text to a file, chunk by chunk.  It
+walks the data on an explicit stack, so no nesting depth hits the recursion
+limit.  Witnesses are converted to and from data on explicit stacks too.
 """
 
 from __future__ import annotations
@@ -66,50 +70,31 @@ class InputError(ValueError):
 _END = object()
 
 
-class MaskSteps:
-    """The steps of a compiled collapse as (free, coface) int masks over the
-    sorted vertex labels `labels`: a node that `dumps` writes as the list of
-    steps `collapse_to_data` would give for the same sequence.
-
-    Every pair is checked here, so a bad one raises ValueError before a byte
-    is written: as a `CollapseSequence` step, its free face lies inside its
-    coface, which has exactly one more vertex; and the free face is not
-    empty, as no face of a complex is."""
-
-    __slots__ = ("pairs", "labels")
-
-    def __init__(self, pairs: list[tuple[int, int]], labels: tuple[str, ...]):
-        if list(labels) != sorted(labels):  # then bit order is `sorted` order
-            raise ValueError("mask steps need sorted labels")
-        n = len(labels)
-        for t, s in pairs:
-            if not t or t & ~s or (s ^ t).bit_count() != 1 or s >> n:
-                raise ValueError(f"malformed step (free mask {t}, coface mask {s})")
-        self.pairs, self.labels = pairs, labels
-
-    def _step_chunks(self, pad: str):
-        # the text of the steps list where `pad` is a newline and its indent
-        if not self.pairs:
-            yield "[]"
-            return
-        p1, p2, p3 = pad + "  ", pad + "    ", pad + "      "
-        enc = [_encode_str(v) for v in self.labels]
-        face_sep = "," + p3
-        # one step, from the joined coface and free face labels
-        template = f'{{{p2}"coface": [{p3}%s{p2}],{p2}"free": [{p3}%s{p2}]{p1}}}'
-        sep, item_sep = "[" + p1, "," + p1
-        for t, s in self.pairs:
-            names = []
-            m = s
-            while m:
-                low = m & -m
-                names.append(enc[low.bit_length() - 1])
-                m ^= low
-            coface = face_sep.join(names)
-            del names[(s & ((s ^ t) - 1)).bit_count()]  # the vertex the free face lacks
-            yield sep + template % (coface, face_sep.join(names))
-            sep = item_sep
-        yield pad + "]"
+def _step_chunks(seq: CollapseSequence, pad: str):
+    # the text of `collapse_to_data(seq)["steps"]`, from seq's mask pairs,
+    # where `pad` is a newline and its indent
+    if not seq._pairs:
+        yield "[]"
+        return
+    p1, p2, p3 = pad + "  ", pad + "    ", pad + "      "
+    enc = [_encode_str(v) for v in seq.vertices]
+    face_sep = "," + p3
+    # one step, from the joined coface and free face labels
+    template = f'{{{p2}"coface": [{p3}%s{p2}],{p2}"free": [{p3}%s{p2}]{p1}}}'
+    no_free = f'{{{p2}"coface": [{p3}%s{p2}],{p2}"free": []{p1}}}'  # an empty free face
+    sep, item_sep = "[" + p1, "," + p1
+    for t, s in seq._pairs:
+        names = []
+        m = s
+        while m:
+            low = m & -m
+            names.append(enc[low.bit_length() - 1])
+            m ^= low
+        coface = face_sep.join(names)
+        del names[(s & ((s ^ t) - 1)).bit_count()]  # the vertex the free face lacks
+        yield sep + (template % (coface, face_sep.join(names)) if t else no_free % coface)
+        sep = item_sep
+    yield pad + "]"
 
 
 def dumps(data) -> str:
@@ -144,8 +129,8 @@ def _chunks(data):
             yield "false"
         elif isinstance(value, int):
             yield int.__repr__(value)
-        elif isinstance(value, MaskSteps):
-            yield from value._step_chunks(pads[len(stack)])
+        elif isinstance(value, CollapseSequence):
+            yield from _step_chunks(value, pads[len(stack)])
         elif isinstance(value, (list, tuple, dict)):
             if not value:
                 yield "{}" if isinstance(value, dict) else "[]"
@@ -251,6 +236,9 @@ def poset_to_data(P: Poset) -> dict:
 
 def poset_from_data(data, where: str = "poset") -> Poset:
     elements = _labels(_need(data, "elements", list, where), f"{where}: elements")
+    if len(set(elements)) != len(elements):
+        j = next(j for j, e in enumerate(elements) if e in elements[:j])
+        raise InputError(f"{where}: elements[{j}]: repeated label {elements[j]!r}")
     covers = _need(data, "covers", list, where)
     pairs = []
     for i, pair in enumerate(covers):
@@ -407,14 +395,35 @@ def collapse_to_data(seq: CollapseSequence) -> dict:
 
 def collapse_from_data(data, where: str = "collapse") -> CollapseSequence:
     steps = _need(data, "steps", list, where)
-    out = []
+    try:  # every field and label at once; on a fault, or an empty free face, the walk below
+        names: set = set()
+        for step in steps:
+            free, coface = step["free"], step["coface"]
+            if not (isinstance(step, dict) and isinstance(free, list) and isinstance(coface, list)):
+                raise TypeError
+            names.update(free, coface)
+        if not all(isinstance(v, str) for v in names):
+            raise TypeError
+        bits = {v: 1 << i for i, v in enumerate(sorted(names))}
+        pairs = []
+        for step in steps:
+            t = s = 0
+            for v in step["free"]:
+                t |= bits[v]
+            for v in step["coface"]:
+                s |= bits[v]
+            pairs.append((t, s))
+        return CollapseSequence._from_masks(tuple(bits), pairs)
+    except (TypeError, KeyError, ValueError):
+        pass
+    out = []  # step by step, so the first fault is reported where the walk meets it
     for i, step in enumerate(steps):
         at = f"{where}.steps[{i}]"
         tau = _labels(_need(step, "free", list, at), f"{at}: free")
         sigma = _labels(_need(step, "coface", list, at), f"{at}: coface")
         out.append((frozenset(tau), frozenset(sigma)))
     try:
-        return CollapseSequence(tuple(out))
+        return CollapseSequence(out)
     except ValueError as e:
         raise InputError(f"{where}: {e}") from None
 

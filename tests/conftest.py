@@ -174,7 +174,8 @@ def ref_certificate_to_collapse(X: SimplicialComplex, cert):
     for x, w in cert.steps():
         bit = _bit(bits, x)
         if not _support(F) & bit:
-            raise ComplexError(f"certificate removes unknown vertex {x!r}")
+            known = "already removed" if bit else "unknown"
+            raise ComplexError(f"certificate removes {known} vertex {x!r}")
         if not _ref_star_collapse(F, bit, w, 0, bits, out):
             raise ComplexError(f"certificate witness for {x!r} does not verify")
         F = _delete_m(F, bit)
@@ -276,11 +277,28 @@ def ref_faces(X: SimplicialComplex) -> frozenset:
     return frozenset(seen)
 
 
-def ref_coface_counts(X: SimplicialComplex) -> dict:
-    """Each face of X with its number of codimension-one cofaces: the faces
-    tau + v for a vertex v outside tau."""
-    faces = ref_faces(X)
+def ref_coface_counts(X: SimplicialComplex, faces=None) -> dict:
+    """Each face of X, or of the label face set `faces` on X's vertices, with
+    its number of codimension-one cofaces: the faces tau + v for a vertex v
+    outside tau."""
+    faces = ref_faces(X) if faces is None else faces
     return {f: sum(f | {v} in faces for v in X.vertices if v not in f) for f in faces}
+
+
+def ref_verify_collapse(X: SimplicialComplex, Y: SimplicialComplex, steps) -> bool:
+    """Collapse replay on X's label face set: a step (tau, sigma) of
+    frozensets is free when sigma is tau plus one vertex and both are faces,
+    tau with one codimension-one coface (`ref_coface_counts`, recounted at
+    every step), which is then sigma; the end state must be Y's face set.
+    The reference for `collapse.verify_collapse`."""
+    faces = set(ref_faces(X))
+    for tau, sigma in steps:
+        if not (tau < sigma and len(sigma) == len(tau) + 1 and sigma in faces):
+            return False
+        if ref_coface_counts(X, faces).get(tau) != 1:
+            return False
+        faces -= {tau, sigma}
+    return faces == ref_faces(Y)
 
 
 def ref_reduced_euler(X: SimplicialComplex) -> int:

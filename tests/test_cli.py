@@ -283,6 +283,15 @@ class TestStreamedCollapse:
         assert out_path.read_bytes() == b"earlier bytes\n"
 
 
+    def test_a_vertex_removed_twice_is_named_as_already_removed(self, files, capsys):
+        # the first step for "a" compiles; the second names "a" as known but gone
+        tmp, write = files
+        cert = {"format": "nodes", "nodes": [["c"], ["b", 0, 0]], "removed": ["a", "a"], "witnesses": [1, 1]}
+        argv = ["to-collapse", "--complex", write("cx.json", {"facets": [["a", "b", "c"]]}),
+                "--certificate", write("cert.json", cert)]
+        assert run(argv, capsys) == (2, "", "error: certificate removes already removed vertex 'a'\n")
+
+
 class TestClassifyAndDecompose:
     def test_composed_map_is_not_monotone(self, files, capsys):
         tmp, write = files
@@ -603,6 +612,16 @@ class TestHygiene:
         assert code == 2
         assert "labels must be strings" in err
         assert "Traceback" not in err and out == ""
+
+    @pytest.mark.parametrize("command", ["order-complex", "reduce", "hall-check"])
+    def test_repeated_element_label_is_exit_2(self, files, capsys, command):
+        # read as a set, ["a", "a", "b"] would be a 2-element poset
+        tmp, write = files
+        poset = write("bad.json", {"elements": ["a", "a", "b"], "covers": [["a", "b"]]})
+        argv = [command, "--poset", poset]
+        if command == "reduce":
+            argv += ["--map", write("map.json", {"map": {"a": "b", "b": "b"}}), "--sub", "fix"]
+        assert run(argv, capsys) == (2, "", f"error: {poset}: elements[1]: repeated label 'a'\n")
 
     def test_non_string_map_value_is_exit_2(self, files, capsys):
         tmp, write = files

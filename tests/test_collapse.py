@@ -41,7 +41,7 @@ from poset_collapse import (
 )
 from poset_collapse import collapse, evasiveness
 from poset_collapse import serialization as ser
-from poset_collapse.collapse import FaceStore, _collapse_steps, _label_steps
+from poset_collapse.collapse import FaceStore, _collapse_steps
 from poset_collapse.complexes import _link_m, _masks
 from poset_collapse.poset import _mask_labels
 from poset_collapse.enumeration import (
@@ -53,7 +53,15 @@ from poset_collapse.enumeration import (
     poset_from_masks,
 )
 
-from conftest import betti_equal, complexes, grid, ref_certificate_to_collapse, ref_coface_counts
+from conftest import (
+    betti_equal,
+    complexes,
+    grid,
+    ref_certificate_to_collapse,
+    ref_coface_counts,
+    ref_faces,
+    ref_verify_collapse,
+)
 
 
 def annulus():
@@ -414,6 +422,97 @@ def test_unhashable_labels_are_complex_errors(call, message):
         call()
 
 
+def test_a_vertex_removed_twice_is_named_as_already_removed():
+    X = SimplicialComplex.simplex("abc")
+    w = SplitWitness("b", PointWitness("c"), PointWitness("c"))  # for the edge bc, the link of a
+    for compile_ in (certificate_to_collapse, ref_certificate_to_collapse):
+        with pytest.raises(ComplexError, match="^certificate removes already removed vertex 'a'$"):
+            compile_(X, NECertificate(("a", "a"), (w, w)))
+        with pytest.raises(ComplexError, match="^certificate removes unknown vertex 'q'$"):
+            compile_(X, NECertificate(("q",), (w,)))
+
+
+class TestSequenceIsMaskBacked:
+    """The labelled constructor, the trusted mask path and the labelled view."""
+
+    def test_labelled_steps_are_stored_as_masks_over_their_labels(self):
+        seq = CollapseSequence([({"c"}, {"b", "c"}), ({"b", "a"}, {"a", "b", "d"})])
+        assert seq.vertices == ("a", "b", "c", "d")
+        assert seq._pairs == ((0b0100, 0b0110), (0b0011, 0b1011))
+        assert list(seq) == list(seq.steps) == [(frozenset("c"), frozenset("bc")), (frozenset("ab"), frozenset("abd"))]
+        assert len(seq) == 2
+
+    def test_equality_and_hash_go_by_the_labelled_steps(self):
+        steps = [(frozenset("b"), frozenset("ab"))]
+        wide = CollapseSequence(steps, vertices="abcz")
+        masks = CollapseSequence._from_masks(("a", "b", "c"), [(0b010, 0b011)])
+        assert wide.vertices == ("a", "b", "c", "z") and wide._pairs == masks._pairs
+        for seq in (wide, masks):
+            assert seq == CollapseSequence(steps) and hash(seq) == hash(CollapseSequence(steps))
+        assert masks != CollapseSequence([(frozenset("a"), frozenset("ab"))]) and masks != steps
+        assert eval(repr(masks)) == masks and repr(masks).startswith("CollapseSequence(steps=((frozenset(")
+
+    def test_vertices_must_hold_the_step_labels(self):
+        with pytest.raises(ValueError, match="do not hold every step label"):
+            CollapseSequence([(frozenset("b"), frozenset("ab"))], vertices="bc")
+
+    def test_an_empty_free_face_is_a_step(self):
+        seq = CollapseSequence([(frozenset(), frozenset("a"))])
+        assert seq._pairs == ((0, 1),) and not verify_collapse(SimplicialComplex.point("a"), SimplicialComplex.point("a"), seq)
+
+
+def collapse_end(X, steps):
+    """The complex left after the labelled steps, by label face sets."""
+    return SimplicialComplex(set(ref_faces(X)) - {f for step in steps for f in step})
+
+
+class TestReplayMatchesLabelReference:
+    """`verify_collapse` against the label-level replay on every complex with
+    at most four vertices, for found sequences, for the same steps over other
+    vertex tuples (the re-index path), and for forged sequences."""
+
+    def test_every_complex_up_to_four_vertices(self):
+        paths = {"as stored": 0, "re-indexed": 0}
+        checked = 0
+        for X in SMALL_COMPLEXES:
+            vs = X.vertices
+            targets = [None] + [induced_subcomplex(X, keep) for k in range(1, len(vs) + 1)
+                                for keep in combinations(vs, k)]
+            for Y in targets:
+                if Y is VOID:
+                    continue
+                seq = search_collapse(X, Y)
+                if not isinstance(seq, CollapseSequence):
+                    continue
+                steps = list(seq)
+                Y = collapse_end(X, steps) if Y is None else Y
+                variants = [
+                    (steps, seq),
+                    (steps, CollapseSequence(steps)),  # over the step labels, a subset of X's
+                    (steps, CollapseSequence(steps, vertices=vs + ("zz",))),  # over a superset
+                    ([(frozenset(), frozenset(vs[:1]))] + steps,
+                     CollapseSequence([(frozenset(), frozenset(vs[:1]))] + steps)),  # an empty free face
+                ]
+                if steps:
+                    tau, sigma = steps[0]
+                    unknown = [(tau | {"zz"}, sigma | {"zz"})] + steps[1:]
+                    swapped = [(sigma, tau)] + steps[1:]
+                    variants += [
+                        (unknown, CollapseSequence(unknown)),
+                        (steps[1:], CollapseSequence(steps[1:])),  # a dropped step
+                        (steps[:-1], CollapseSequence(steps[:-1])),
+                        (swapped, unchecked_sequence(swapped)),
+                    ]
+                for labelled, forged in variants:
+                    key = "as stored" if forged.vertices == vs else "re-indexed"
+                    paths[key] += 1
+                    for Z in (Y, X):
+                        assert verify_collapse(X, Z, forged) == ref_verify_collapse(X, Z, labelled), (X, Z, labelled)
+                    checked += 1
+                assert verify_collapse(X, Y, seq)
+        assert checked > 1000 and min(paths.values()) > 300
+
+
 class TestSearchCollapse:
     def test_simplex_to_point(self):
         X = SimplicialComplex.simplex("abc")
@@ -538,9 +637,24 @@ def rebuild_search(X, Y, budget):
 
 
 def unchecked_sequence(steps) -> CollapseSequence:
-    """A CollapseSequence that skips construction checks, as a forged input would."""
+    """A CollapseSequence that skips construction checks, as a forged input
+    would: a step of two faces of hashable labels becomes its mask pair over
+    the sorted labels of all such steps, and any other step stays as it is,
+    an entry that is no pair of masks."""
+    def faces(step):
+        try:
+            tau, sigma = step
+            return frozenset(tau), frozenset(sigma)
+        except (TypeError, ValueError):
+            return None
+
+    pairs = [faces(step) for step in steps]
+    vertices = tuple(sorted(set().union(*(t | s for t, s in filter(None, pairs)))))
+    bits = {v: 1 << i for i, v in enumerate(vertices)}
     seq = object.__new__(CollapseSequence)
-    object.__setattr__(seq, "steps", tuple(steps))
+    seq.vertices = vertices
+    seq._pairs = tuple(step if p is None else tuple(sum(bits[v] for v in f) for f in p)
+                       for step, p in zip(steps, pairs))
     return seq
 
 
@@ -683,7 +797,7 @@ SMALL_COMPLEXES = [complex_from_masks(m) for m in iter_antichain_complexes(4)]
 
 def store_free_pairs(store, X):
     """The store's free pairs, labelled by X's vertices."""
-    return list(_label_steps(store.free_pairs(), X.vertices))
+    return list(CollapseSequence._from_masks(X.vertices, store.free_pairs()))
 
 
 def store_complex(store, X):

@@ -110,8 +110,8 @@ class TestWitnessDunders:
 
     def test_equality_builds_no_table_for_one_object_or_differing_roots(self, monkeypatch):
         built = []
-        rows = evasiveness._rows
-        monkeypatch.setattr(evasiveness, "_rows", lambda roots: built.append(len(roots)) or rows(roots))
+        walk = evasiveness._walk_rows  # the row walk behind `_rows`, which `==` steps side by side
+        monkeypatch.setattr(evasiveness, "_walk_rows", lambda roots, at: built.append(len(roots)) or walk(roots, at))
         u = split_chain(5000, "link")
         assert u == u and not u != u
         assert u != SplitWitness("b", u.link, u.deletion) and u != SubSplit("a", u.link, u.deletion)
@@ -121,6 +121,34 @@ class TestWitnessDunders:
         assert not built
         assert SplitWitness(nan, u, u) == SplitWitness(nan, u, u)
         assert u == split_chain(5000, "link") and built == [1, 1, 1, 1]
+
+    def test_deep_chains_compare_row_by_row(self, monkeypatch):
+        # `==` pulls one row from each table at a time and stops at the first
+        # pair that differs: a link chain starts at its point a, a deletion
+        # chain at its point b
+        made = []
+        walk = evasiveness._walk_rows
+
+        def counted(roots, at):
+            for row in walk(roots, at):
+                made.append(row)
+                yield row
+
+        monkeypatch.setattr(evasiveness, "_walk_rows", counted)
+        u, w = split_chain(5000, "link"), split_chain(4999, "deletion")
+        assert u != w and made == [("a",), ("b",)]
+        for along in ("link", "deletion"):
+            made.clear()
+            assert split_chain(5000, along) == split_chain(5000, along)
+            assert len(made) == 2 * 5002  # equal tables are read to the end
+            assert split_chain(5000, along) != split_chain(4999, along)
+
+    def test_hash_is_the_hash_of_the_node_table(self):
+        w = SplitWitness("a", PointWitness("b"), SplitWitness("c", PointWitness("b"), PointWitness("d")))
+        assert hash(w) == hash((("b",), ("d",), ("c", 0, 1), ("a", 0, 2)))
+        for along in ("link", "deletion"):
+            u = split_chain(5000, along)
+            assert hash(u) == hash(tuple(evasiveness._rows((u,))[0])) == hash(split_chain(5000, along))
 
     def test_shared_subtrees_are_compared_and_hashed_once(self):
         # link and deletion are one object: 60 nodes spell a tree of 2^60

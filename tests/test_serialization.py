@@ -181,14 +181,14 @@ class TestDumps:
 ESCAPED = ("\x01", '"', "\\", "\u00e9")
 
 
-class TestMaskSteps:
-    """Compiled steps written from mask pairs against `collapse_to_data` of
-    the labelled sequence, written by the same walker."""
+class TestSequenceNode:
+    """Compiled steps written from a sequence's mask pairs against
+    `collapse_to_data` of the same sequence, written by the same walker."""
 
     @staticmethod
     def both(X, cert):
-        streamed = {"steps": ser.MaskSteps(_compile_masks(X, cert), X.vertices)}
-        return streamed, ser.collapse_to_data(certificate_to_collapse(X, cert))
+        seq = CollapseSequence._from_masks(X.vertices, _compile_masks(X, cert))
+        return {"steps": seq}, ser.collapse_to_data(seq)
 
     @pytest.mark.parametrize("k, d", [(3, 2), (4, 2), (3, 3)])
     def test_grid_steps_at_every_depth(self, k, d):
@@ -224,7 +224,45 @@ class TestMaskSteps:
     )
     def test_malformed_steps_raise_before_writing(self, pairs, labels):
         with pytest.raises(ValueError):
-            ser.MaskSteps(pairs, tuple(labels))
+            CollapseSequence._from_masks(tuple(labels), pairs)
+
+
+def _step(free, coface):
+    return {"free": free, "coface": coface}
+
+
+class TestCollapseReader:
+    """`collapse_from_data` decodes to mask pairs; a fault is reported as the
+    step-by-step walk meets it, field and label faults before malformed steps."""
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"steps": {}}, "c.json: field 'steps' has the wrong type"),
+            ({"steps": [[]]}, "c.json.steps[0]: expected an object, got list"),
+            ({"steps": [_step(["a"], ["a", "b"]), {"free": ["a"]}]}, "c.json.steps[1]: missing field 'coface'"),
+            ({"steps": [_step(["a"], ["a", "b"]), _step("a", [])]}, "c.json.steps[1]: field 'free' has the wrong type"),
+            ({"steps": [_step(["a"], ["b"]), _step([1], [])]}, "c.json.steps[1]: free[0]: labels must be strings, got int"),
+            ({"steps": [_step(["a"], ["a", "b"]), _step(["a"], ["b", ["c"]])]},
+             "c.json.steps[1]: coface[1]: labels must be strings, got list"),
+            ({"steps": [_step(["a"], ["a", "b"]), _step(["a"], ["b", "c"])]}, "c.json: malformed step (['a'], ['b', 'c'])"),
+        ],
+    )
+    def test_messages(self, data, message):
+        with pytest.raises(ser.InputError) as e:
+            ser.collapse_from_data(data, "c.json")
+        assert str(e.value) == message
+
+    def test_repeats_read_as_sets_and_an_empty_free_face_reads(self):
+        seq = ser.collapse_from_data({"steps": [_step(["a", "a"], ["b", "a"]), _step([], ["c"])]})
+        assert seq.vertices == ("a", "b", "c") and seq._pairs == ((0b001, 0b011), (0, 0b100))
+        assert seq == CollapseSequence([({"a"}, {"a", "b"}), (set(), {"c"})])
+        X = SimplicialComplex([["a", "b"], ["c"]])
+        assert not verify_collapse(X, SimplicialComplex([["a"]]), seq)
+        # the same sequence written from its masks reads back to itself
+        text = ser.dumps({"steps": seq})
+        assert text == ser.dumps(ser.collapse_to_data(seq))
+        assert ser.collapse_from_data({"steps": json.loads(text)["steps"]}) == seq
 
 
 class TestDeepWitnesses:

@@ -228,3 +228,29 @@ def test_call_cycles_are_on_the_allow_list():
     for path in sorted(SRC.rglob("*.py")):
         found |= _cycles(_call_graph(ast.parse(path.read_text(), filename=str(path)), path.stem))
     assert found == RECURSIVE
+
+
+def test_collapse_replay_translates_no_labels():
+    # verify_collapse steps the sequence's mask pairs, re-indexed at most once;
+    # neither it nor a function of its module that it reaches turns a label
+    # face into a mask or back.  The three forms a collapse step once had are
+    # one class, so the wrapper and the labelling helper are gone everywhere.
+    path = SRC / "collapse.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    graph = _call_graph(tree, "collapse")
+    reached, todo = set(), ["collapse.verify_collapse"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += graph[name]
+    assert {"collapse.verify_collapse", "collapse._reindexed"} <= reached
+    defs = {f"collapse.{node.name}": node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    found = [f"{name}:{node.lineno} {node.id}" for name in sorted(reached & defs.keys())
+             for node in ast.walk(defs[name]) if isinstance(node, ast.Name) and node.id in ("_mask", "_mask_labels")]
+    assert not found, f"label translation on the replay path: {found}"
+    gone = []
+    for path in sorted(SRC.rglob("*.py")):
+        words = re.findall(r"\w+", path.read_text())
+        gone += [f"{path.name} {w}" for w in ("MaskSteps", "_label_steps") if w in words]
+    assert not gone, f"removed collapse-step forms still named: {gone}"
