@@ -23,6 +23,8 @@ a FaceStore, which shares no code with either walk.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .complexes import (
     ComplexError,
     SimplicialComplex,
@@ -53,28 +55,28 @@ from .poset import _mask_labels, _remap
 Step = tuple[frozenset, frozenset]
 
 
+@dataclass(frozen=True)
 class CollapseSequence:
     """Ordered (free face, coface) pairs; replay removes both open faces each step.
 
     Stored, as a complex stores its facets, as (free, coface) int masks over
-    the sorted tuple `vertices`: the steps' labels, or the `vertices` given.
-    Iterating, and `steps`, give the labelled pairs; `==` and `hash` go by
-    them, whatever the vertex tuple."""
+    the sorted tuple `vertices`: the steps' labels, or a trusted caller's
+    vertex tuple.  Iterating, and `steps`, give the labelled pairs; `==`,
+    `hash` and `repr` go by them, and `__init__` takes them."""
 
-    __slots__ = ("vertices", "_pairs")
+    vertices: tuple[str, ...]
+    _pairs: tuple[tuple[int, int], ...]
 
-    def __init__(self, steps, vertices=None):
+    def __init__(self, steps):
         steps = [(frozenset(tau), frozenset(sigma)) for tau, sigma in steps]
         for tau, sigma in steps:
             if len(sigma) != len(tau) + 1 or not tau < sigma:
                 raise ValueError(f"malformed step ({sorted(tau)}, {sorted(sigma)})")
-        names = set().union(*(sigma for _, sigma in steps))  # a coface holds its free face
-        vertices = names if vertices is None else set(vertices)
-        if not names <= vertices:
-            raise ValueError("the vertices do not hold every step label")
-        self.vertices = tuple(sorted(vertices))
-        bits = {v: 1 << i for i, v in enumerate(self.vertices)}
-        self._pairs = tuple((sum(map(bits.get, tau)), sum(map(bits.get, sigma))) for tau, sigma in steps)
+        vertices = tuple(sorted(set().union(*(sigma for _, sigma in steps))))  # a coface holds its free face
+        bits = {v: 1 << i for i, v in enumerate(vertices)}
+        pairs = tuple((sum(map(bits.get, t)), sum(map(bits.get, s))) for t, s in steps)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "_pairs", pairs)
 
     @classmethod
     def _from_masks(cls, vertices: tuple[str, ...], pairs) -> "CollapseSequence":
@@ -88,7 +90,8 @@ class CollapseSequence:
             if not t or t & ~s or (s ^ t).bit_count() != 1 or s >> n:
                 raise ValueError(f"malformed step (free mask {t}, coface mask {s})")
         self = object.__new__(cls)
-        self.vertices, self._pairs = vertices, tuple(pairs)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "_pairs", tuple(pairs))
         return self
 
     @property

@@ -50,7 +50,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 from .collapse import CollapseSequence
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _mask
 from .evasiveness import (
     NECertificate,
     NEClassification,
@@ -405,14 +405,7 @@ def collapse_from_data(data, where: str = "collapse") -> CollapseSequence:
         if not all(isinstance(v, str) for v in names):
             raise TypeError
         bits = {v: 1 << i for i, v in enumerate(sorted(names))}
-        pairs = []
-        for step in steps:
-            t = s = 0
-            for v in step["free"]:
-                t |= bits[v]
-            for v in step["coface"]:
-                s |= bits[v]
-            pairs.append((t, s))
+        pairs = [(_mask(step["free"], bits), _mask(step["coface"], bits)) for step in steps]
         return CollapseSequence._from_masks(tuple(bits), pairs)
     except (TypeError, KeyError, ValueError):
         pass

@@ -1,7 +1,10 @@
 """Elementary collapses, sequence search, and witness compilation."""
 
+import copy
 import json
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 from itertools import combinations
 
 import hypothesis.strategies as st
@@ -444,17 +447,29 @@ class TestSequenceIsMaskBacked:
 
     def test_equality_and_hash_go_by_the_labelled_steps(self):
         steps = [(frozenset("b"), frozenset("ab"))]
-        wide = CollapseSequence(steps, vertices="abcz")
+        wide = CollapseSequence._from_masks(("a", "b", "c", "z"), [(0b0010, 0b0011)])
         masks = CollapseSequence._from_masks(("a", "b", "c"), [(0b010, 0b011)])
-        assert wide.vertices == ("a", "b", "c", "z") and wide._pairs == masks._pairs
+        assert CollapseSequence(steps).vertices == ("a", "b") and wide._pairs == masks._pairs
         for seq in (wide, masks):
             assert seq == CollapseSequence(steps) and hash(seq) == hash(CollapseSequence(steps))
         assert masks != CollapseSequence([(frozenset("a"), frozenset("ab"))]) and masks != steps
         assert eval(repr(masks)) == masks and repr(masks).startswith("CollapseSequence(steps=((frozenset(")
 
-    def test_vertices_must_hold_the_step_labels(self):
-        with pytest.raises(ValueError, match="do not hold every step label"):
-            CollapseSequence([(frozenset("b"), frozenset("ab"))], vertices="bc")
+    def test_a_sequence_is_frozen(self):
+        seq = CollapseSequence._from_masks(("a", "b", "c"), [(0b010, 0b011)])
+        h = hash(seq)
+        for name, value in (("vertices", ("a", "b", "z")), ("_pairs", ((0b001, 0b011),)), ("steps", ())):
+            with pytest.raises(FrozenInstanceError):
+                setattr(seq, name, value)
+            with pytest.raises(FrozenInstanceError):
+                delattr(seq, name)
+        assert seq.vertices == ("a", "b", "c") and hash(seq) == h
+
+    def test_copy_and_pickle_keep_the_steps(self):
+        for seq in (CollapseSequence._from_masks(("a", "b", "c"), [(0b010, 0b011)]),
+                    CollapseSequence([(frozenset(), frozenset("a"))])):
+            for twin in (copy.copy(seq), copy.deepcopy(seq), pickle.loads(pickle.dumps(seq))):
+                assert type(twin) is CollapseSequence and twin == seq and hash(twin) == hash(seq)
 
     def test_an_empty_free_face_is_a_step(self):
         seq = CollapseSequence([(frozenset(), frozenset("a"))])
@@ -489,7 +504,7 @@ class TestReplayMatchesLabelReference:
                 variants = [
                     (steps, seq),
                     (steps, CollapseSequence(steps)),  # over the step labels, a subset of X's
-                    (steps, CollapseSequence(steps, vertices=vs + ("zz",))),  # over a superset
+                    (steps, CollapseSequence._from_masks(vs + ("zz",), seq._pairs)),  # over a superset
                     ([(frozenset(), frozenset(vs[:1]))] + steps,
                      CollapseSequence([(frozenset(), frozenset(vs[:1]))] + steps)),  # an empty free face
                 ]
@@ -652,9 +667,9 @@ def unchecked_sequence(steps) -> CollapseSequence:
     vertices = tuple(sorted(set().union(*(t | s for t, s in filter(None, pairs)))))
     bits = {v: 1 << i for i, v in enumerate(vertices)}
     seq = object.__new__(CollapseSequence)
-    seq.vertices = vertices
-    seq._pairs = tuple(step if p is None else tuple(sum(bits[v] for v in f) for f in p)
-                       for step, p in zip(steps, pairs))
+    object.__setattr__(seq, "vertices", vertices)  # a sequence is frozen
+    object.__setattr__(seq, "_pairs", tuple(step if p is None else tuple(sum(bits[v] for v in f) for f in p)
+                                            for step, p in zip(steps, pairs)))
     return seq
 
 
